@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
     sim::SimOptions base;
     base.workload.num_sites = 200;
     base.num_servers = 10;
-    base.steps = smoke_cap(200, 40);
+    base.steps = smoke_cap<std::size_t>(200, 40);
     base.rebalance_every = 5;
     base.move_budget = 10;
     Table table({"policy", "drain prob", "mean imb", "forced moves",
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
     sim::SimOptions base;
     base.workload.num_sites = 200;
     base.num_servers = 10;
-    base.steps = smoke_cap(200, 40);
+    base.steps = smoke_cap<std::size_t>(200, 40);
     base.rebalance_every = 5;
     base.move_budget = 10;
     Table table({"migrations/step", "mean imb", "p90 imb", "total moves"});

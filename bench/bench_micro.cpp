@@ -1,9 +1,12 @@
 // Experiment E13: google-benchmark microbenchmarks of the core data paths -
 // load accounting, lower bounds, threshold generation, the two rebalancers,
-// and the knapsack kernels that power the cost variants.
+// the knapsack kernels that power the cost variants, and one streaming
+// session frame.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <deque>
 #include <string_view>
 #include <vector>
 
@@ -20,6 +23,8 @@
 #include "knapsack/knapsack.h"
 #include "online/scheduler.h"
 #include "online/trace.h"
+#include "stream/replay.h"
+#include "stream/session.h"
 
 namespace {
 
@@ -161,6 +166,71 @@ void BM_OnlineArriveDepart(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_OnlineArriveDepart)->Arg(1 << 10)->Arg(1 << 14);
+
+// One server ack's worth of session work: a 16-delta step batch, then the
+// lower bound and the state digest every ack carries. The batch arrives 6
+// jobs, departs the 6 oldest and resizes 4, so the cluster stays at n jobs
+// however many iterations run. No trigger is set: replans are solver time,
+// measured by the solver benchmarks. `digest_ns` is the digest's time per
+// frame, which must stay flat as n grows.
+void BM_SessionFrame(benchmark::State& state) {
+  const auto initial = bench_instance(state.range(0));
+  stream::TriggerConfig trigger;
+  trigger.spec = solver::BackendId::kBestOf;
+  std::string error;
+  auto session = stream::ClusterSession::open(initial, trigger, &error);
+  if (!session) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  const stream::SolveFn solve = stream::serial_reference_solver(false);
+  std::deque<std::uint64_t> live;
+  for (std::uint64_t id = 0; id < initial.num_jobs(); ++id) {
+    live.push_back(id);
+  }
+  std::uint64_t next_id = live.size();
+  std::uint64_t seq = 0;
+  Rng rng(17);
+  static constexpr stream::DeltaKind kBatch[16] = {
+      stream::DeltaKind::kJobArrive, stream::DeltaKind::kJobDepart,
+      stream::DeltaKind::kJobUpdate, stream::DeltaKind::kJobArrive,
+      stream::DeltaKind::kJobDepart, stream::DeltaKind::kJobArrive,
+      stream::DeltaKind::kJobDepart, stream::DeltaKind::kJobUpdate,
+      stream::DeltaKind::kJobArrive, stream::DeltaKind::kJobDepart,
+      stream::DeltaKind::kJobArrive, stream::DeltaKind::kJobDepart,
+      stream::DeltaKind::kJobUpdate, stream::DeltaKind::kJobArrive,
+      stream::DeltaKind::kJobDepart, stream::DeltaKind::kJobUpdate};
+  double digest_ns = 0.0;
+  for (auto _ : state) {
+    for (const stream::DeltaKind kind : kBatch) {
+      stream::Delta delta;
+      delta.kind = kind;
+      if (kind == stream::DeltaKind::kJobArrive) {
+        delta.id = next_id++;
+        delta.size = rng.uniform_int(1, 5000);
+        live.push_back(delta.id);
+      } else if (kind == stream::DeltaKind::kJobDepart) {
+        delta.id = live.front();
+        live.pop_front();
+      } else {
+        delta.id = live[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+        delta.size = rng.uniform_int(1, 5000);
+      }
+      benchmark::DoNotOptimize(session->step(delta, ++seq, solve));
+    }
+    benchmark::DoNotOptimize(session->lower_bound());
+    const auto started = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(session->digest());
+    digest_ns += std::chrono::duration<double, std::nano>(
+                     std::chrono::steady_clock::now() - started)
+                     .count();
+  }
+  state.counters["digest_ns"] =
+      benchmark::Counter(digest_ns, benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_SessionFrame)->Arg(1 << 10)->Arg(1 << 12)->Arg(1 << 14);
 
 }  // namespace
 

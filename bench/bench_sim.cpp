@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   base.workload.max_initial_load = 1500;
   base.workload.flash_prob = 0.003;
   base.num_servers = 12;
-  base.steps = smoke_cap(300, 40);
+  base.steps = smoke_cap<std::size_t>(300, 40);
   base.rebalance_every = 5;
 
   Table table({"policy", "k", "mean imb", "p90 imb", "moves/round",

@@ -3,24 +3,33 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
-#include "cache/canonical.h"
 #include "core/lower_bounds.h"
 #include "solver/registry.h"
+#include "util/packed_key.h"
 
 namespace lrb::stream {
 
 namespace {
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
+// Leading hash words that keep job terms, processor terms and the sealed
+// digest in separate domains.
+constexpr std::uint64_t kJobTag = 1;
+constexpr std::uint64_t kProcTag = 2;
+constexpr std::uint64_t kDigestTag = 3;
+
+std::uint64_t proc_hash(std::uint64_t id) {
+  const std::uint64_t words[] = {kProcTag, id};
+  return hash_words(words, std::size(words));
 }
 
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
+std::uint64_t seal(std::uint64_t state_sum, std::size_t num_procs,
+                   std::size_t num_jobs, Size makespan) {
+  const std::uint64_t words[] = {kDigestTag, state_sum, num_procs, num_jobs,
+                                 static_cast<std::uint64_t>(makespan)};
+  return hash_words(words, std::size(words));
 }
 
 }  // namespace
@@ -89,6 +98,7 @@ std::optional<ClusterSession> ClusterSession::open(const Instance& initial,
   for (ProcId p = 0; p < initial.num_procs; ++p) {
     session.procs_.push_back({p, 0});
     session.proc_slots_.emplace(p, p);
+    session.state_sum_ += proc_hash(p);
   }
   const std::size_t n = initial.num_jobs();
   session.jobs_.reserve(n);
@@ -99,6 +109,7 @@ std::optional<ClusterSession> ClusterSession::open(const Instance& initial,
     job.move_cost = initial.move_costs[j];
     job.proc_slot = initial.initial[j];
     session.procs_[job.proc_slot].load += job.size;
+    session.state_sum_ += session.job_hash(job);
     session.job_slots_.emplace(job.id, session.jobs_.size());
     session.jobs_.push_back(job);
   }
@@ -131,37 +142,23 @@ Instance ClusterSession::snapshot() const {
   return live;
 }
 
+std::uint64_t ClusterSession::job_hash(const JobRec& job) const {
+  const std::uint64_t words[] = {kJobTag, job.id,
+                                 static_cast<std::uint64_t>(job.size),
+                                 static_cast<std::uint64_t>(job.move_cost),
+                                 procs_[job.proc_slot].id};
+  return hash_words(words, std::size(words));
+}
+
 std::uint64_t ClusterSession::digest() const {
-  // Canonical encoding: stable ids in sorted order, so the digest is
-  // invariant under the internal (history-dependent) slot layout.
-  std::string bytes;
-  bytes.reserve(16 + procs_.size() * 8 + jobs_.size() * 32);
-  bytes.append("lrb-session-state");
-  std::vector<std::size_t> proc_order(procs_.size());
-  for (std::size_t i = 0; i < procs_.size(); ++i) proc_order[i] = i;
-  std::sort(proc_order.begin(), proc_order.end(),
-            [&](std::size_t a, std::size_t b) {
-              return procs_[a].id < procs_[b].id;
-            });
-  put_u64(bytes, procs_.size());
-  for (const std::size_t slot : proc_order) put_u64(bytes, procs_[slot].id);
-  std::vector<std::size_t> job_order(jobs_.size());
-  for (std::size_t i = 0; i < jobs_.size(); ++i) job_order[i] = i;
-  std::sort(job_order.begin(), job_order.end(),
-            [&](std::size_t a, std::size_t b) {
-              return jobs_[a].id < jobs_[b].id;
-            });
-  put_u64(bytes, jobs_.size());
-  for (const std::size_t slot : job_order) {
-    const JobRec& job = jobs_[slot];
-    put_u64(bytes, job.id);
-    put_i64(bytes, job.size);
-    put_i64(bytes, job.move_cost);
-    put_u64(bytes, procs_[job.proc_slot].id);
-  }
-  put_i64(bytes, makespan());
-  const cache::Fingerprint fp = cache::fingerprint(bytes);
-  return fp.hi ^ fp.lo;
+  return seal(state_sum_, procs_.size(), jobs_.size(), makespan());
+}
+
+std::uint64_t ClusterSession::rebuilt_digest() const {
+  std::uint64_t sum = 0;
+  for (const ProcRec& proc : procs_) sum += proc_hash(proc.id);
+  for (const JobRec& job : jobs_) sum += job_hash(job);
+  return seal(sum, procs_.size(), jobs_.size(), makespan());
 }
 
 SessionStats ClusterSession::stats() const {
@@ -204,6 +201,7 @@ void ClusterSession::remove_job_slot(std::size_t slot) {
 
 void ClusterSession::remove_proc_slot(std::size_t slot) {
   assert(procs_[slot].load == 0);
+  state_sum_ -= proc_hash(procs_[slot].id);
   proc_slots_.erase(procs_[slot].id);
   const std::size_t last = procs_.size() - 1;
   if (slot != last) {
@@ -215,6 +213,16 @@ void ClusterSession::remove_proc_slot(std::size_t slot) {
     }
   }
   procs_.pop_back();
+}
+
+PlanMove ClusterSession::move_job(JobRec& job, std::size_t target) {
+  const PlanMove move{job.id, procs_[job.proc_slot].id, procs_[target].id};
+  state_sum_ -= job_hash(job);
+  procs_[job.proc_slot].load -= job.size;
+  procs_[target].load += job.size;
+  job.proc_slot = target;
+  state_sum_ += job_hash(job);
+  return move;
 }
 
 std::string ClusterSession::apply(const Delta& delta, StepResult* result,
@@ -242,6 +250,7 @@ std::string ClusterSession::apply(const Delta& delta, StepResult* result,
       job.move_cost = delta.move_cost;
       job.proc_slot = target;
       procs_[target].load += job.size;
+      state_sum_ += job_hash(job);
       job_slots_.emplace(job.id, jobs_.size());
       jobs_.push_back(job);
       return {};
@@ -253,6 +262,7 @@ std::string ClusterSession::apply(const Delta& delta, StepResult* result,
       }
       const std::size_t slot = it->second;
       procs_[jobs_[slot].proc_slot].load -= jobs_[slot].size;
+      state_sum_ -= job_hash(jobs_[slot]);
       remove_job_slot(slot);
       return {};
     }
@@ -264,7 +274,9 @@ std::string ClusterSession::apply(const Delta& delta, StepResult* result,
       }
       JobRec& job = jobs_[it->second];
       procs_[job.proc_slot].load += delta.size - job.size;
+      state_sum_ -= job_hash(job);
       job.size = delta.size;
+      state_sum_ += job_hash(job);
       return {};
     }
     case DeltaKind::kProcAdd: {
@@ -274,6 +286,7 @@ std::string ClusterSession::apply(const Delta& delta, StepResult* result,
       }
       proc_slots_.emplace(delta.id, procs_.size());
       procs_.push_back({delta.id, 0});
+      state_sum_ += proc_hash(delta.id);
       return {};
     }
     case DeltaKind::kProcRemove: {
@@ -315,13 +328,8 @@ std::string ClusterSession::apply(const Delta& delta, StepResult* result,
         return jobs_[a].id < jobs_[b].id;
       });
       for (const std::size_t slot : evict) {
-        const std::size_t target = least_loaded_slot(victim);
-        JobRec& job = jobs_[slot];
-        procs_[victim].load -= job.size;
-        procs_[target].load += job.size;
         plan.moves.push_back(
-            {job.id, procs_[victim].id, procs_[target].id});
-        job.proc_slot = target;
+            move_job(jobs_[slot], least_loaded_slot(victim)));
       }
       plan.makespan_after = makespan();
       remove_proc_slot(victim);
@@ -358,13 +366,8 @@ SessionPlan ClusterSession::replan(PlanReason reason, std::uint64_t seq,
   assert(result.assignment.size() == jobs_.size());
   for (std::size_t slot = 0; slot < jobs_.size(); ++slot) {
     const std::size_t target = result.assignment[slot];
-    JobRec& job = jobs_[slot];
-    if (target == job.proc_slot) continue;
-    procs_[job.proc_slot].load -= job.size;
-    procs_[target].load += job.size;
-    plan.moves.push_back(
-        {job.id, procs_[job.proc_slot].id, procs_[target].id});
-    job.proc_slot = target;
+    if (target == jobs_[slot].proc_slot) continue;
+    plan.moves.push_back(move_job(jobs_[slot], target));
   }
   plan.makespan_after = makespan();
   plan.plan_seq = ++plans_emitted_;

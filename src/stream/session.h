@@ -2,16 +2,23 @@
 // protocol (docs/streaming.md).
 //
 // A ClusterSession tracks a live cluster: jobs and processors carry stable
-// client-chosen 64-bit ids, the session maintains the current assignment
-// and per-processor loads, and every applied delta (arrival, departure,
-// load change, processor add/remove/drain) updates that state in O(1)
-// amortized. Drift is tracked as "current makespan vs. the recomputed
-// lower bounds of core/lower_bounds"; when the configured RebalanceTrigger
-// fires (imbalance ratio, delta count, or an explicit Replan delta), the
-// session plans a bounded-move repair through a caller-supplied solve
-// function (the server wires engine::BatchSolver here; the replay
-// reference wires engine::solve_serial_reference / cached_serial_reference)
-// and applies only the resulting *move diff*.
+// client-chosen 64-bit ids, the session maintains the current assignment,
+// the per-processor loads and the state digest. A job arrival, departure
+// or load change updates them in O(1) expected time (plus O(m) to pick
+// the least-loaded processor for an auto-placed arrival); removing or
+// draining a processor costs O(n), since jobs on the last slot are
+// renumbered. Drift is tracked as "current makespan vs. the lower bounds
+// of core/lower_bounds". That bound costs O(n) per ack, and per delta
+// while the imbalance trigger is on: lower_bound() recomputes it from a
+// snapshot() instead of maintaining it, so the session and the one-shot
+// solvers share one definition of the bound, and the largest-job term
+// would otherwise need an ordered multiset of sizes to survive
+// departures. When the configured RebalanceTrigger fires (imbalance
+// ratio, delta count, or an explicit Replan delta), the session plans a
+// bounded-move repair through a caller-supplied solve function (the
+// server wires engine::BatchSolver here; the replay reference wires
+// engine::solve_serial_reference / cached_serial_reference) and applies
+// only the resulting *move diff*.
 //
 // Determinism contract: ClusterSession is a pure function of
 // (initial instance, trigger config, delta sequence, solve function).
@@ -176,10 +183,18 @@ class ClusterSession {
   /// trigger and the bound reported in every ack.
   [[nodiscard]] Size lower_bound() const;
 
-  /// 64-bit fingerprint (cache/canonical.h hash) of the canonical state
-  /// encoding: processors and jobs sorted by stable id, plus the makespan.
+  /// 64-bit state fingerprint: the wrapping sum of a mixed hash per job
+  /// (id, size, move cost, processor id) and per processor id, finalized
+  /// with the processor count, the job count and the makespan. The sum is
+  /// order-independent, so the digest is a function of the state alone,
+  /// not of the slot layout its history left behind. It is maintained on
+  /// every state change, so this costs O(m) (the makespan), not O(n).
   /// Included in every ack so checkers compare state, not just plans.
   [[nodiscard]] std::uint64_t digest() const;
+
+  /// digest() recomputed from the live state in O(n): the reference the
+  /// incremental sum is tested against. Too slow for a per-delta check.
+  [[nodiscard]] std::uint64_t rebuilt_digest() const;
 
   [[nodiscard]] SessionStats stats() const;
 
@@ -214,6 +229,11 @@ class ClusterSession {
   [[nodiscard]] std::size_t least_loaded_slot(std::size_t exclude_slot) const;
   void remove_job_slot(std::size_t slot);
   void remove_proc_slot(std::size_t slot);
+  /// The job's term in state_sum_; reads its processor's stable id.
+  [[nodiscard]] std::uint64_t job_hash(const JobRec& job) const;
+  /// Relocates one job to `target`, keeping loads and state_sum_ in step,
+  /// and returns the move in stable ids.
+  PlanMove move_job(JobRec& job, std::size_t target);
   /// Runs one bounded-move replan and applies + records the move diff.
   [[nodiscard]] SessionPlan replan(PlanReason reason, std::uint64_t seq,
                                    const SolveFn& solve);
@@ -225,6 +245,8 @@ class ClusterSession {
   std::vector<ProcRec> procs_;  ///< dense slots; swap-removed on removal
   std::unordered_map<std::uint64_t, std::size_t> job_slots_;
   std::unordered_map<std::uint64_t, std::size_t> proc_slots_;
+  /// Wrapping sum of job_hash over jobs_ and proc_hash over procs_ ids.
+  std::uint64_t state_sum_ = 0;
 
   std::uint64_t deltas_applied_ = 0;
   std::uint64_t deltas_rejected_ = 0;

@@ -83,7 +83,9 @@ Server::Server(ServerOptions options)
       m_forwarded_frames_(options_.metrics->counter("stream.forwarded_frames")),
       m_moves_per_plan_(options_.metrics->histogram("stream.moves_per_plan")),
       m_replan_latency_ms_(
-          options_.metrics->histogram("stream.replan_latency_ms")) {}
+          options_.metrics->histogram("stream.replan_latency_ms")),
+      m_frame_latency_ms_(
+          options_.metrics->histogram("stream.frame_latency_ms")) {}
 
 Server::~Server() {
   {
@@ -788,6 +790,7 @@ void Server::process_session_delta(Reactor& reactor, SessionState& state,
                                    std::size_t origin, std::uint64_t conn_gen,
                                    int fd, std::uint64_t request_id,
                                    std::string_view payload) {
+  const auto frame_started = std::chrono::steady_clock::now();
   std::string error;
   auto request = decode_session_delta_request(payload, &error);
   if (!request) {
@@ -861,6 +864,10 @@ void Server::process_session_delta(Reactor& reactor, SessionState& state,
   state.last_frame_count = count;
   state.last_reply_type = session_reply_type(reply);
   state.last_reply_payload = encode_session_delta_reply(reply);
+  m_frame_latency_ms_.record(
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - frame_started)
+          .count());
   deliver_session_reply(reactor, origin, conn_gen, fd, request_id,
                         state.last_reply_type, state.last_reply_payload);
 }

@@ -410,6 +410,7 @@ class Server {
   obs::Counter& m_forwarded_frames_;
   obs::Histogram& m_moves_per_plan_;
   obs::Histogram& m_replan_latency_ms_;
+  obs::Histogram& m_frame_latency_ms_;
 };
 
 /// Installs a SIGTERM + SIGINT handler that calls server->notify_signal().

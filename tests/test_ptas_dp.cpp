@@ -34,10 +34,17 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC 12 would otherwise see the std::free below in the same
+// function as the std::malloc above and report -Wmismatched-new-delete,
+// although a replacement operator pair may use malloc/free.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace lrb {
 namespace {
@@ -101,13 +108,14 @@ TEST(PackedKey, DistinctValuesDistinctKeys) {
   PackedKeyCodec codec;
   const std::vector<std::int64_t> maxima{5, 5, 5};
   codec.plan(maxima);
+  ASSERT_EQ(codec.words(), 1u);
+  std::vector<std::uint64_t> key(codec.words());
   std::vector<std::uint64_t> seen;
   for (std::int64_t a = 0; a <= 5; ++a) {
     for (std::int64_t b = 0; b <= 5; ++b) {
       for (std::int64_t c = 0; c <= 5; ++c) {
-        std::uint64_t word = 0;
-        codec.encode(std::vector<std::int64_t>{a, b, c}, &word);
-        seen.push_back(word);
+        codec.encode(std::vector<std::int64_t>{a, b, c}, key.data());
+        seen.push_back(key[0]);
       }
     }
   }

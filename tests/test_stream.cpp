@@ -1,11 +1,15 @@
 // Unit tests for the streaming-session subsystem (src/stream/,
 // docs/streaming.md): ClusterSession state tracking, delta rejection
-// semantics, trigger evaluation, the serial replay reference, and the
-// .lrbd delta-log format.
+// semantics, trigger evaluation, the serial replay reference, the
+// .lrbd delta-log format, and the incrementally maintained state digest.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,6 +19,11 @@
 #include "stream/delta_log.h"
 #include "stream/replay.h"
 #include "stream/session.h"
+#include "util/rng.h"
+
+#ifndef LRB_CORPUS_DIR
+#error "LRB_CORPUS_DIR must point at the committed tests/corpus directory"
+#endif
 
 namespace lrb::stream {
 namespace {
@@ -451,6 +460,224 @@ TEST(StreamDeltaLog, RejectsMalformedText) {
   EXPECT_FALSE(
       delta_log_from_string(text.substr(0, text.size() / 2), &error));
   EXPECT_FALSE(error.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The state digest: a function of the state alone, sensitive to every
+// field, and maintained incrementally without drifting from a rebuild.
+// ---------------------------------------------------------------------------
+
+Delta job_delta(DeltaKind kind, std::uint64_t id, Size size = 0,
+                std::uint64_t proc = kAutoPlace, Cost move_cost = 1) {
+  Delta delta;
+  delta.kind = kind;
+  delta.id = id;
+  delta.size = size;
+  delta.move_cost = move_cost;
+  delta.proc = proc;
+  return delta;
+}
+
+Delta proc_delta(DeltaKind kind, std::uint64_t id) {
+  Delta delta;
+  delta.kind = kind;
+  delta.id = id;
+  return delta;
+}
+
+void apply_all(ClusterSession& session, const std::vector<Delta>& deltas) {
+  std::uint64_t seq = 0;
+  for (const Delta& delta : deltas) must_apply(session, delta, ++seq);
+}
+
+TEST(StreamDigest, IsIndependentOfHistory) {
+  // Both orders end with processors {0, 1, 5} and jobs {1, 2, 3, 10, 11}
+  // (job 2 re-added with size 6), but swap-removals and a processor
+  // removed from a middle slot leave different slot layouts behind.
+  ClusterSession a = must_open(small_instance(), quiet_trigger());
+  apply_all(a, {
+                   proc_delta(DeltaKind::kProcAdd, 5),
+                   job_delta(DeltaKind::kJobArrive, 10, 3, 5),
+                   job_delta(DeltaKind::kJobDepart, 0),
+                   job_delta(DeltaKind::kJobArrive, 11, 2, 0),
+                   job_delta(DeltaKind::kJobUpdate, 2, 6),
+                   job_delta(DeltaKind::kJobDepart, 2),
+                   job_delta(DeltaKind::kJobArrive, 2, 6, 1),
+               });
+  ClusterSession b = must_open(small_instance(), quiet_trigger());
+  apply_all(b, {
+                   job_delta(DeltaKind::kJobDepart, 2),
+                   proc_delta(DeltaKind::kProcAdd, 5),
+                   proc_delta(DeltaKind::kProcRemove, 5),
+                   proc_delta(DeltaKind::kProcAdd, 9),
+                   proc_delta(DeltaKind::kProcAdd, 5),
+                   job_delta(DeltaKind::kJobArrive, 11, 2, 0),
+                   job_delta(DeltaKind::kJobArrive, 2, 6, 1),
+                   job_delta(DeltaKind::kJobArrive, 10, 3, 5),
+                   proc_delta(DeltaKind::kProcRemove, 9),
+                   job_delta(DeltaKind::kJobDepart, 0),
+               });
+  EXPECT_NE(a.snapshot().sizes, b.snapshot().sizes)
+      << "the two histories should leave different slot layouts";
+  EXPECT_EQ(a.num_jobs(), b.num_jobs());
+  EXPECT_EQ(a.num_procs(), b.num_procs());
+  EXPECT_EQ(a.digest(), b.digest());
+  EXPECT_EQ(a.digest(), a.rebuilt_digest());
+  EXPECT_EQ(b.digest(), b.rebuilt_digest());
+}
+
+TEST(StreamDigest, ChangesWithEveryStateField) {
+  // Start: processors {0, 1, 2} with loads {7, 3, 0}. Every variant below
+  // keeps the makespan (7) and the counts of the base, so only the
+  // per-element terms can tell them apart.
+  ClusterSession base = must_open(small_instance(), quiet_trigger());
+  apply_all(base, {proc_delta(DeltaKind::kProcAdd, 2),
+                   job_delta(DeltaKind::kJobArrive, 9, 1, 1, 1)});
+  const auto variant = [](const std::vector<Delta>& tail) {
+    ClusterSession session = must_open(small_instance(), quiet_trigger());
+    std::vector<Delta> deltas = {proc_delta(DeltaKind::kProcAdd, 2)};
+    deltas.insert(deltas.end(), tail.begin(), tail.end());
+    apply_all(session, deltas);
+    EXPECT_EQ(session.makespan(), 7);
+    return session.digest();
+  };
+  EXPECT_EQ(variant({job_delta(DeltaKind::kJobArrive, 9, 1, 1, 1)}),
+            base.digest());
+  // One job's size, its move cost, or its processor.
+  EXPECT_NE(variant({job_delta(DeltaKind::kJobArrive, 9, 2, 1, 1)}),
+            base.digest());
+  EXPECT_NE(variant({job_delta(DeltaKind::kJobArrive, 9, 1, 1, 2)}),
+            base.digest());
+  EXPECT_NE(variant({job_delta(DeltaKind::kJobArrive, 9, 1, 2, 1)}),
+            base.digest());
+  // Jobs 2 and 3 (sizes 2 and 1, both on processor 1) trade sizes: the
+  // loads and the multiset of sizes stay, only the id-size binding moves.
+  EXPECT_NE(variant({job_delta(DeltaKind::kJobArrive, 9, 1, 1, 1),
+                     job_delta(DeltaKind::kJobUpdate, 2, 1),
+                     job_delta(DeltaKind::kJobUpdate, 3, 2)}),
+            base.digest());
+
+  // One more, empty, processor.
+  const std::uint64_t before = base.digest();
+  must_apply(base, proc_delta(DeltaKind::kProcAdd, 3), 3);
+  EXPECT_NE(base.digest(), before);
+}
+
+/// Steps `session` through `delta` and checks the incremental digest
+/// against a rebuild from the resulting state.
+void step_and_check_digest(ClusterSession& session, const Delta& delta,
+                           std::uint64_t seq, StepResult* result) {
+  *result = session.step(delta, seq, serial_reference_solver(false));
+  ASSERT_EQ(session.digest(), session.rebuilt_digest())
+      << "seq " << seq << " (" << delta_kind_name(delta.kind) << " "
+      << delta.id << ")";
+}
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "unreadable corpus entry " << path;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(StreamDigest, IncrementalMatchesRebuiltOnCorpusTranscripts) {
+  std::size_t transcripts = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(LRB_CORPUS_DIR)) {
+    if (entry.path().extension() != ".lrbd") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    std::string error;
+    const auto log = delta_log_from_string(slurp(entry.path()), &error);
+    ASSERT_TRUE(log) << error;
+    ClusterSession session = must_open(log->initial, log->trigger);
+    ASSERT_EQ(session.digest(), session.rebuilt_digest());
+    std::uint64_t seq = 0;
+    for (const Delta& delta : log->deltas) {
+      StepResult result;
+      step_and_check_digest(session, delta, ++seq, &result);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    ++transcripts;
+  }
+  EXPECT_EQ(transcripts, 3u);
+}
+
+TEST(StreamDigest, IncrementalMatchesRebuiltOnRandomTraces) {
+  // Every delta kind, with triggers that replan often; processor removals
+  // target the newest processor, which auto-placement has not always
+  // filled yet, so some apply and the rest are rejected.
+  std::vector<std::size_t> applied(8, 0);
+  std::size_t plans = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TriggerConfig config = quiet_trigger();
+    config.imbalance_ratio = 1.4;
+    config.delta_count = 9;
+    ClusterSession session = must_open(mixed_corpus_instance(0, seed), config);
+    std::vector<std::uint64_t> jobs(session.num_jobs());
+    std::vector<std::uint64_t> procs(session.num_procs());
+    for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i] = i;
+    for (std::size_t i = 0; i < procs.size(); ++i) procs[i] = i;
+    std::uint64_t next_id = 1000;
+    Rng rng(seed);
+    const auto pick = [&rng](const std::vector<std::uint64_t>& ids) {
+      return ids[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+    };
+    for (std::uint64_t seq = 1; seq <= 300; ++seq) {
+      const std::int64_t roll = rng.uniform_int(0, 99);
+      Delta delta;
+      if (roll < 35 || jobs.empty()) {
+        delta = job_delta(DeltaKind::kJobArrive, next_id++,
+                          rng.uniform_int(0, 40),
+                          rng.bernoulli(0.5) ? kAutoPlace : pick(procs),
+                          rng.uniform_int(0, 5));
+      } else if (roll < 60) {
+        delta = job_delta(DeltaKind::kJobDepart, pick(jobs));
+      } else if (roll < 75) {
+        delta = job_delta(DeltaKind::kJobUpdate, pick(jobs),
+                          rng.uniform_int(0, 40));
+      } else if (roll < 84) {
+        delta = proc_delta(DeltaKind::kProcAdd, next_id++);
+      } else if (roll < 91) {
+        delta = proc_delta(DeltaKind::kProcRemove, procs.back());
+      } else if (roll < 96) {
+        delta = proc_delta(DeltaKind::kProcDrain, pick(procs));
+      } else {
+        delta.kind = DeltaKind::kReplan;
+      }
+      StepResult result;
+      step_and_check_digest(session, delta, seq, &result);
+      if (testing::Test::HasFatalFailure()) return;
+      plans += result.plans.size();
+      if (!result.applied) continue;
+      ++applied[static_cast<std::size_t>(delta.kind)];
+      switch (delta.kind) {
+        case DeltaKind::kJobArrive:
+          jobs.push_back(delta.id);
+          break;
+        case DeltaKind::kJobDepart:
+          jobs.erase(std::find(jobs.begin(), jobs.end(), delta.id));
+          break;
+        case DeltaKind::kProcAdd:
+          procs.push_back(delta.id);
+          break;
+        case DeltaKind::kProcRemove:
+        case DeltaKind::kProcDrain:
+          procs.erase(std::find(procs.begin(), procs.end(), delta.id));
+          break;
+        default:
+          break;
+      }
+    }
+  }
+  for (std::size_t kind = 1; kind < applied.size(); ++kind) {
+    EXPECT_GT(applied[kind], 0u)
+        << "no " << delta_kind_name(static_cast<DeltaKind>(kind))
+        << " delta applied";
+  }
+  EXPECT_GT(plans, 0u);
 }
 
 }  // namespace

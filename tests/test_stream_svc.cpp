@@ -358,6 +358,41 @@ TEST(SessionService, ExactResendOfTheLastFrameIsNotReapplied) {
   EXPECT_GE(server.registry().counter("stream.dup_frames_resent").value(), 1);
 }
 
+TEST(SessionService, FrameLatencyHasOneSamplePerAckedDeltaFrame) {
+  StreamServer server(1);
+  std::string error;
+  auto client = Client::connect_unix(server.path(), &error);
+  ASSERT_TRUE(client) << error;
+  ASSERT_EQ(raw_call(*client, MsgType::kSessionOpen, 1,
+                     encode_session_open_request(sample_open(6)))
+                .type,
+            MsgType::kSessionOpenOk);
+
+  constexpr std::uint32_t kFrames = 5;
+  std::string last_frame;
+  for (std::uint32_t f = 0; f < kFrames; ++f) {
+    last_frame = encode_session_delta_request(
+        arrivals_frame(6, 1 + 3 * f, 100 + 3 * f, 3));
+    const RawReply ack =
+        raw_call(*client, MsgType::kSessionDelta, 2 + f, last_frame);
+    ASSERT_TRUE(ack.type == MsgType::kSessionDeltaOk ||
+                ack.type == MsgType::kSessionPlan);
+  }
+  // A resend answered from the stored reply and a frame refused for its
+  // sequence number apply nothing, so they are not sampled.
+  EXPECT_NE(raw_call(*client, MsgType::kSessionDelta, 20, last_frame).type,
+            MsgType::kError);
+  EXPECT_EQ(error_code_of(raw_call(
+                *client, MsgType::kSessionDelta, 21,
+                encode_session_delta_request(arrivals_frame(6, 99, 500, 1)))),
+            ErrorCode::kBadSequence);
+
+  server.drain();
+  EXPECT_EQ(
+      server.registry().histogram("stream.frame_latency_ms").snapshot().count,
+      kFrames);
+}
+
 TEST(SessionService, OversizedDeltaFrameIsRejectedNotFatal) {
   StreamServer server(1);
   std::string error;

@@ -106,8 +106,8 @@ void print_help() {
       "              sessions_open (gauge), sessions_opened,\n"
       "              sessions_closed, deltas_applied, deltas_rejected,\n"
       "              plans_emitted, dup_frames_resent, forwarded_frames\n"
-      "              (counters), moves_per_plan, replan_latency_ms\n"
-      "              (histograms)\n";
+      "              (counters), moves_per_plan, replan_latency_ms,\n"
+      "              frame_latency_ms (histograms)\n";
 }
 
 }  // namespace
