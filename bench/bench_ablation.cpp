@@ -11,11 +11,11 @@
 #include "algo/greedy.h"
 #include "algo/local_search.h"
 #include "algo/m_partition.h"
-#include "algo/rebalancer.h"
 #include "bench_common.h"
 #include "core/lower_bounds.h"
 #include "sim/policies.h"
 #include "sim/simulator.h"
+#include "solver/registry.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {
@@ -78,7 +78,8 @@ int main(int argc, char** argv) {
           const auto mpls = local_search_improve(inst, mp, options, &stats);
           mpls_r.push_back(ratio(mpls.makespan, lb));
           steps.push_back(static_cast<double>(stats.rounds));
-          const auto best = best_of_rebalance(inst, k);
+          const auto best =
+              solver::solve_serial(solver::BackendId::kBestOf, inst, k);
           best_r.push_back(ratio(best.makespan, lb));
           const auto bestls = local_search_improve(inst, best, options);
           bestls_r.push_back(ratio(bestls.makespan, lb));
@@ -141,8 +142,8 @@ int main(int argc, char** argv) {
     base.move_budget = 10;
     Table table({"policy", "drain prob", "mean imb", "forced moves",
                  "policy moves"});
-    for (const auto& policy : standard_rebalancers()) {
-      if (policy.name == "lpt-full") continue;
+    for (const auto& policy : sim::unit_policies()) {
+      if (policy.backend != nullptr && !policy.backend->respects_k) continue;
       for (double drain : {0.0, 0.05, 0.15}) {
         std::vector<double> imb, forced, voluntary;
         for (std::uint64_t seed = 1; seed <= smoke_cap<std::uint64_t>(4, 1);

@@ -8,10 +8,10 @@
 #include <iostream>
 
 #include "algo/m_partition.h"
-#include "algo/rebalancer.h"
 #include "bench_common.h"
 #include "online/scheduler.h"
 #include "online/trace.h"
+#include "solver/registry.h"
 #include "util/rng.h"
 
 namespace {
@@ -46,7 +46,8 @@ RunMetrics run_trace(const std::vector<lrb::online::Event>& trace,
             // M-PARTITION stops at its 1.5 guarantee (frugal); best-of also
             // runs GREEDY, which spends the budget chasing the minimum.
             return frugal ? m_partition_rebalance(inst, budget)
-                          : best_of_rebalance(inst, budget);
+                          : solver::solve_serial(solver::BackendId::kBestOf,
+                                                 inst, budget);
           },
           k);
       metrics.total_moves += result.moves;

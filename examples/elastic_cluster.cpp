@@ -9,9 +9,9 @@
 #include <algorithm>
 #include <iostream>
 
-#include "algo/rebalancer.h"
 #include "online/scheduler.h"
 #include "online/trace.h"
+#include "solver/registry.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -75,7 +75,8 @@ int main() {
       total_moves += scheduler
                          .rebalance(
                              [](const Instance& inst, std::int64_t budget) {
-                               return best_of_rebalance(inst, budget);
+                               return solver::solve_serial(
+                                   solver::BackendId::kBestOf, inst, budget);
                              },
                              k)
                          .moves;

@@ -5,14 +5,14 @@
 //   $ ./examples/webfarm_rebalance
 //
 // Compares policies over a 400-step horizon: doing nothing, GREEDY,
-// M-PARTITION, best-of, and an (unrealistic) full LPT rebalance that ignores
-// the migration budget. The punchline the paper's introduction promises:
+// M-PARTITION, best-of, an (unrealistic) full LPT rebalance that ignores
+// the migration budget, and M-PARTITION + local search. The punchline the paper's introduction promises:
 // a handful of moves per round keeps the farm near-balanced at a tiny
 // fraction of the migration traffic of full rebalancing.
 
 #include <iostream>
 
-#include "algo/rebalancer.h"
+#include "sim/policies.h"
 #include "sim/simulator.h"
 #include "util/table.h"
 
@@ -38,7 +38,7 @@ int main() {
 
   Table table({"policy", "mean imb", "p90 imb", "max imb", "total moves",
                "GB moved"});
-  for (const auto& policy : standard_rebalancers()) {
+  for (const auto& policy : unit_policies()) {
     Simulator simulator(options, policy.run);
     const auto result = simulator.run();
     table.row()
@@ -52,7 +52,7 @@ int main() {
   table.print(std::cout);
 
   // A short excerpt of the M-PARTITION time series around a flash crowd.
-  Simulator simulator(options, standard_rebalancers()[2].run);
+  Simulator simulator(options, unit_policy("m-partition"));
   const auto result = simulator.run();
   std::size_t flash_step = 0;
   for (const auto& step : result.series) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/lower_bounds.h"
+#include "solver/registry.h"
 
 namespace lrb {
 namespace {
@@ -164,44 +165,53 @@ SolutionCertificate certify_solution(const Instance& instance,
   return certificate;
 }
 
-CertifyOptions roster_certify_options(const std::string& algorithm,
+CertifyOptions roster_certify_options(solver::BackendId backend,
                                       const Instance& instance, std::int64_t k,
                                       const RebalanceResult& result) {
   const auto m = static_cast<std::int64_t>(instance.num_procs);
   const auto n = static_cast<std::int64_t>(instance.num_jobs());
   CertifyOptions options;
-  options.max_moves = k;
+  options.max_moves = solver::descriptor(backend).respects_k ? k : kInfSize;
 
-  if (algorithm == "none") {
-    // The identity never moves and never changes the makespan.
-    options.max_moves = 0;
-    options.bound = RatioBound{1, 1, instance.initial_makespan(), 0,
-                               "initial makespan"};
-  } else if (algorithm == "greedy" || algorithm == "best-of") {
-    // Theorem 1's mechanism is a-priori checkable: after Step 1 the max load
-    // is the Lemma 1 bound (<= lb), and each Step 2 placement lands on a
-    // processor of load <= (W - s) / m, so every final load is at most
-    // lb + (1 - 1/m) * lb. best-of returns the better of greedy and
-    // m-partition, hence satisfies greedy's bound too.
-    if (m > 0) {
-      options.bound = RatioBound{2 * m - 1, m, combined_lower_bound(instance, k),
-                                 0, "combined_lower_bound"};
-    }
-  } else if (algorithm == "m-partition" || algorithm == "mp-ls") {
-    // Theorem 3's mechanism: PARTITION at the accepted threshold T (>= the
-    // scan's certified starting lower bound >= max job) leaves every load
-    // <= 1.5 * T. Local search only ever lowers the makespan.
-    if (result.threshold > 0) {
-      options.bound =
-          RatioBound{3, 2, result.threshold, 0, "accepted threshold"};
-    }
-  } else if (algorithm == "lpt-full") {
-    // Graham's bound for the unbounded-move reference schedule.
-    options.max_moves = kInfSize;
-    if (m > 0) {
-      options.bound = RatioBound{2 * m - 1, m, combined_lower_bound(instance, n),
-                                 0, "combined_lower_bound"};
-    }
+  // No default: a new backend fails -Wswitch until it states its
+  // certificate here.
+  switch (backend) {
+    case solver::BackendId::kGreedy:
+    case solver::BackendId::kBestOf:
+      // Theorem 1's mechanism is a-priori checkable: after Step 1 the max
+      // load is the Lemma 1 bound (<= lb), and each Step 2 placement lands on
+      // a processor of load <= (W - s) / m, so every final load is at most
+      // lb + (1 - 1/m) * lb. best-of returns the better of greedy and
+      // m-partition, hence satisfies greedy's bound too.
+      if (m > 0) {
+        options.bound = RatioBound{2 * m - 1, m,
+                                   combined_lower_bound(instance, k), 0,
+                                   "combined_lower_bound"};
+      }
+      break;
+    case solver::BackendId::kMPartition:
+    case solver::BackendId::kLocalSearch:
+      // Theorem 3's mechanism: PARTITION at the accepted threshold T (>= the
+      // scan's certified starting lower bound >= max job) leaves every load
+      // <= 1.5 * T. Local search only ever lowers the makespan.
+      if (result.threshold > 0) {
+        options.bound =
+            RatioBound{3, 2, result.threshold, 0, "accepted threshold"};
+      }
+      break;
+    case solver::BackendId::kLpt:
+      // Graham's bound for the unbounded-move reference schedule.
+      if (m > 0) {
+        options.bound = RatioBound{2 * m - 1, m,
+                                   combined_lower_bound(instance, n), 0,
+                                   "combined_lower_bound"};
+      }
+      break;
+    case solver::BackendId::kPtas:
+      // The (1 + eps) guarantee is relative to the budget-B optimum, which
+      // only the differential harness's exact solver certifies; a-priori
+      // the universal checks apply, with moves bounded by B rather than k.
+      break;
   }
   return options;
 }

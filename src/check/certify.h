@@ -20,6 +20,7 @@
 
 #include "core/assignment.h"
 #include "core/instance.h"
+#include "solver/spec.h"
 
 namespace lrb {
 
@@ -84,18 +85,18 @@ struct SolutionCertificate {
     const Instance& instance, const RebalanceResult& result,
     const CertifyOptions& options = {});
 
-/// The a-priori certificate each standard roster algorithm must satisfy on
-/// EVERY instance (no exact optimum needed):
-///   "none"        moves = 0, makespan = initial makespan
-///   "greedy"      moves <= k, m * makespan <= (2m - 1) * combined_lb(k)
-///   "m-partition" moves <= k, 2 * makespan <= 3 * accepted threshold
-///   "mp-ls"       same as m-partition (local search only improves)
-///   "best-of"     moves <= k, greedy's bound (it returns the better of the
+/// The a-priori certificate each registry backend must satisfy on EVERY
+/// instance (no exact optimum needed):
+///   greedy        moves <= k, m * makespan <= (2m - 1) * combined_lb(k)
+///   m-partition   moves <= k, 2 * makespan <= 3 * accepted threshold
+///   local-search  same as m-partition (local search only improves)
+///   best-of       moves <= k, greedy's bound (it returns the better of the
 ///                 two, so it is no worse than greedy)
-///   "lpt-full"    moves unbounded, m * makespan <= (2m - 1) * combined_lb(n)
-/// Unknown names get the universal checks only (budgets + lower bound).
+///   lpt           moves unbounded, m * makespan <= (2m - 1) * combined_lb(n)
+///   ptas          moves unbounded, universal checks only (budgets + lower
+///                 bound); its ratio needs the exact budget optimum
 [[nodiscard]] CertifyOptions roster_certify_options(
-    const std::string& algorithm, const Instance& instance, std::int64_t k,
+    solver::BackendId backend, const Instance& instance, std::int64_t k,
     const RebalanceResult& result);
 
 }  // namespace lrb

@@ -7,13 +7,13 @@
 #include "algo/cost_greedy.h"
 #include "algo/cost_partition.h"
 #include "algo/exact.h"
-#include "algo/local_search.h"
 #include "algo/move_min.h"
 #include "algo/ptas.h"
 #include "algo/two_proc_exact.h"
 #include "algo/unit_exact.h"
 #include "core/lower_bounds.h"
 #include "lp/gap.h"
+#include "solver/registry.h"
 
 namespace lrb {
 namespace {
@@ -104,29 +104,22 @@ DifferentialReport differential_check(const Instance& instance,
   const std::int64_t k = options.k;
   const bool small = instance.num_jobs() <= options.exact_max_jobs;
 
-  // ---- the unit-cost roster (+ mp-ls), each against its a-priori contract.
-  for (const auto& algo : standard_rebalancers()) {
+  // ---- the unit-cost registry roster, each against its a-priori contract.
+  for (const solver::BackendDescriptor& backend : solver::all_backends()) {
+    if (backend.costed) continue;
     AlgorithmFinding finding;
-    finding.algorithm = algo.name;
-    finding.result = algo.run(instance, k);
+    finding.algorithm = backend.name;
+    finding.backend = backend.id;
+    finding.result = solver::solve_serial(backend.id, instance, k);
     finding.certificate = certify_solution(
         instance, finding.result,
-        roster_certify_options(algo.name, instance, k, finding.result));
-    report.findings.push_back(std::move(finding));
-  }
-  {
-    AlgorithmFinding finding;
-    finding.algorithm = "mp-ls";
-    finding.result = m_partition_ls_rebalance(instance, k);
-    finding.certificate = certify_solution(
-        instance, finding.result,
-        roster_certify_options("mp-ls", instance, k, finding.result));
+        roster_certify_options(backend.id, instance, k, finding.result));
     report.findings.push_back(std::move(finding));
   }
   for (const auto& extra : options.extra) {
     AlgorithmFinding finding;
-    finding.algorithm = extra.rebalancer.name;
-    finding.result = extra.rebalancer.run(instance, k);
+    finding.algorithm = extra.name;
+    finding.result = extra.run(instance, k);
     CertifyOptions certify_options;
     if (extra.options) {
       certify_options = extra.options(instance, k, finding.result);
@@ -137,6 +130,7 @@ DifferentialReport differential_check(const Instance& instance,
         certify_solution(instance, finding.result, certify_options);
     report.findings.push_back(std::move(finding));
   }
+  const std::size_t num_k_move_findings = report.findings.size();
 
   // ---- certified k-move optimum: branch-and-bound, or a known-OPT family.
   Size opt = 0;
@@ -232,23 +226,35 @@ DifferentialReport differential_check(const Instance& instance,
 
   // ---- proven ratios against the certified optimum.
   if (have_opt) {
-    for (auto& finding : report.findings) {
-      if (finding.algorithm == "exact" || finding.algorithm == "instance") {
-        continue;
+    for (std::size_t i = 0; i < num_k_move_findings; ++i) {
+      AlgorithmFinding& finding = report.findings[i];
+      if (finding.backend && !solver::descriptor(*finding.backend).respects_k) {
+        continue;  // unbounded moves: checked against the unbounded optimum
       }
-      if (finding.algorithm == "lpt-full") continue;  // unbounded moves
       check_not_below_opt(finding, opt, "k-move problem");
-      if (finding.algorithm == "greedy" || finding.algorithm == "best-of") {
-        check_ratio_vs_opt(finding, 2 * m - 1, m, opt);
-      } else if (finding.algorithm == "m-partition" ||
-                 finding.algorithm == "mp-ls") {
-        check_ratio_vs_opt(finding, 3, 2, opt);
-        if (finding.result.threshold > opt) {
-          std::ostringstream oss;
-          oss << "accepted threshold " << finding.result.threshold
-              << " exceeds OPT = " << opt;
-          add_violation(finding, ViolationKind::kRatioVsExact, oss.str());
-        }
+      if (!finding.backend) continue;
+      switch (*finding.backend) {
+        case solver::BackendId::kGreedy:
+          check_ratio_vs_opt(finding, 2 * m - 1, m, opt);
+          break;
+        case solver::BackendId::kBestOf:
+          // Never worse than M-PARTITION, so Theorem 3's 3/2 applies; it is
+          // strictly tighter than greedy's (2m - 1)/m for m >= 3.
+          check_ratio_vs_opt(finding, 3, 2, opt);
+          break;
+        case solver::BackendId::kMPartition:
+        case solver::BackendId::kLocalSearch:
+          check_ratio_vs_opt(finding, 3, 2, opt);
+          if (finding.result.threshold > opt) {
+            std::ostringstream oss;
+            oss << "accepted threshold " << finding.result.threshold
+                << " exceeds OPT = " << opt;
+            add_violation(finding, ViolationKind::kRatioVsExact, oss.str());
+          }
+          break;
+        case solver::BackendId::kPtas:
+        case solver::BackendId::kLpt:
+          break;
       }
     }
     // Graham's LPT bound needs the UNBOUNDED optimum, which the k-move
@@ -259,8 +265,9 @@ DifferentialReport differential_check(const Instance& instance,
       unbounded.node_limit = options.exact_node_limit;
       const auto exact_full = exact_rebalance(instance, unbounded);
       if (exact_full.proven_optimal) {
-        for (auto& finding : report.findings) {
-          if (finding.algorithm != "lpt-full") continue;
+        for (std::size_t i = 0; i < num_k_move_findings; ++i) {
+          AlgorithmFinding& finding = report.findings[i];
+          if (finding.backend != solver::BackendId::kLpt) continue;
           check_not_below_opt(finding, exact_full.best.makespan,
                               "unbounded-move problem");
           check_ratio_vs_opt(finding, 4 * m - 1, 3 * m,

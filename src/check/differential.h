@@ -1,12 +1,13 @@
-// Differential testing harness: run the whole algorithm roster on one
+// Differential testing harness: run the unit-cost registry roster on one
 // instance, certify every result (check/certify), and - on instances small
 // enough for the exact solvers - cross-check the approximation ratios and
 // the exact solvers against each other:
 //
 //   * every roster algorithm passes its a-priori certificate;
 //   * nothing beats the branch-and-bound optimum (or its proven ratio
-//     against it): GREEDY within (2 - 1/m), M-PARTITION within 1.5 with an
-//     accepted threshold <= OPT, the PTAS within (1 + eps) at cost <= B,
+//     against it): GREEDY within (2 - 1/m), M-PARTITION and local search
+//     within 1.5 with an accepted threshold <= OPT, best-of within 1.5 (it
+//     is never worse than M-PARTITION), the PTAS within (1 + eps) at cost <= B,
 //     cost-PARTITION within 1.5 (1 + eps)(1 + alpha), Shmoys-Tardos within 2;
 //   * the independent exact solvers agree: branch-and-bound vs the
 //     equal-size polynomial algorithm vs the m = 2 subset-sum DP vs
@@ -19,12 +20,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "algo/rebalancer.h"
 #include "check/certify.h"
 #include "core/instance.h"
+#include "solver/spec.h"
 
 namespace lrb {
 
@@ -32,7 +34,8 @@ namespace lrb {
 /// mutant). `options` derives its certificate; when null the universal
 /// checks (budgets + lower bound) are applied.
 struct CheckedRebalancer {
-  NamedRebalancer rebalancer;
+  std::string name;
+  std::function<RebalanceResult(const Instance&, std::int64_t k)> run;
   std::function<CertifyOptions(const Instance&, std::int64_t k,
                                const RebalanceResult&)>
       options;
@@ -54,6 +57,9 @@ struct DifferentialOptions {
 
 struct AlgorithmFinding {
   std::string algorithm;
+  /// The registry backend that produced `result`; nullopt for the exact
+  /// solvers, the cost tier and `extra` rebalancers.
+  std::optional<solver::BackendId> backend;
   RebalanceResult result;
   SolutionCertificate certificate;
 };

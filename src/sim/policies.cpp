@@ -1,18 +1,23 @@
 #include "sim/policies.h"
 
-#include <cassert>
-#include <cstdlib>
-
 #include "algo/cost_greedy.h"
 #include "algo/cost_partition.h"
-#include "algo/rebalancer.h"
 
 namespace lrb::sim {
 
 std::vector<NamedPolicy> unit_policies() {
   std::vector<NamedPolicy> out;
-  for (auto& algo : standard_rebalancers()) {
-    out.push_back({algo.name, algo.run});
+  out.push_back({"none", [](const Instance& instance, std::int64_t) {
+                   return no_move_result(instance);
+                 }});
+  for (const solver::BackendDescriptor& backend : solver::all_backends()) {
+    if (backend.costed) continue;
+    const solver::BackendId id = backend.id;
+    out.push_back({backend.name,
+                   [id](const Instance& instance, std::int64_t k) {
+                     return solver::solve_serial(id, instance, k);
+                   },
+                   &backend});
   }
   return out;
 }
@@ -32,11 +37,12 @@ Policy cost_greedy_policy(Cost byte_budget_per_round) {
 }
 
 Policy unit_policy(const std::string& name) {
+  const solver::BackendDescriptor* backend = solver::find_backend(name);
   for (auto& policy : unit_policies()) {
-    if (policy.name == name) return policy.run;
+    const bool alias = backend != nullptr && policy.backend == backend;
+    if (policy.name == name || alias) return policy.run;
   }
-  assert(false && "unknown policy name");
-  std::abort();
+  return {};
 }
 
 }  // namespace lrb::sim

@@ -219,7 +219,7 @@ RebalanceResult solve(const SolverSpec& spec, const Instance& instance,
     case BackendId::kMPartition:
       return solve_m_partition(instance, k, ctx);
     case BackendId::kBestOf: {
-      // Same tie-break as best_of_rebalance: PARTITION wins ties.
+      // PARTITION wins ties.
       auto greedy = greedy_rebalance(instance, k);
       auto partition = solve_m_partition(instance, k, ctx);
       return partition.makespan <= greedy.makespan ? std::move(partition)

@@ -14,12 +14,12 @@
 #include <vector>
 
 #include "algo/greedy.h"
-#include "algo/rebalancer.h"
 #include "check/certify.h"
 #include "check/differential.h"
 #include "check/shrink.h"
 #include "core/generators.h"
 #include "core/lower_bounds.h"
+#include "solver/registry.h"
 
 namespace lrb {
 namespace {
@@ -40,19 +40,41 @@ GeneratorOptions family_options(std::uint64_t index) {
 }
 
 TEST(Certify, RosterPassesOnRandomInstancesAcrossAllFamilies) {
-  const auto roster = standard_rebalancers();
   for (std::uint64_t trial = 0; trial < 200; ++trial) {
     const auto opt = family_options(trial);
     const auto inst = random_instance(opt, /*seed=*/1000 + trial);
     const auto k = static_cast<std::int64_t>(trial % (inst.num_jobs() + 2));
-    for (const auto& algo : roster) {
-      const auto result = algo.run(inst, k);
+    for (const solver::BackendDescriptor& backend : solver::all_backends()) {
+      if (backend.costed) continue;
+      const auto result = solver::solve_serial(backend.id, inst, k);
       const auto certificate = certify_solution(
-          inst, result, roster_certify_options(algo.name, inst, k, result));
+          inst, result, roster_certify_options(backend.id, inst, k, result));
       EXPECT_TRUE(certificate.ok())
-          << "trial " << trial << " algorithm " << algo.name << "\n"
+          << "trial " << trial << " algorithm " << backend.name << "\n"
           << certificate.to_string();
     }
+  }
+}
+
+TEST(Certify, EveryUnitCostBackendHasARatioCertificate) {
+  // A certificate with only the universal checks could never catch a
+  // backend that is valid but far from its theorem; every unit-cost backend
+  // must state a ratio bound on a non-trivial instance, and meet it.
+  GeneratorOptions opt;
+  opt.num_jobs = 30;
+  opt.num_procs = 4;
+  opt.placement = PlacementPolicy::kHotspot;
+  const auto inst = random_instance(opt, /*seed=*/7);
+  const std::int64_t k = 5;
+  for (const solver::BackendDescriptor& backend : solver::all_backends()) {
+    if (backend.costed) continue;
+    const auto result = solver::solve_serial(backend.id, inst, k);
+    const auto options = roster_certify_options(backend.id, inst, k, result);
+    ASSERT_TRUE(options.bound.has_value()) << backend.name;
+    EXPECT_GT(options.bound->reference, 0) << backend.name;
+    const auto certificate = certify_solution(inst, result, options);
+    EXPECT_TRUE(certificate.ok())
+        << backend.name << "\n" << certificate.to_string();
   }
 }
 
@@ -230,9 +252,9 @@ TEST(Differential, CatchesTheBrokenRebalancerAndShrinksToTinyRepro) {
     options.k = 4;
     options.run_cost_algorithms = false;
     options.extra.push_back(CheckedRebalancer{
-        NamedRebalancer{"broken-greedy", broken_greedy},
+        "broken-greedy", broken_greedy,
         [](const Instance& i, std::int64_t k, const RebalanceResult& r) {
-          return roster_certify_options("greedy", i, k, r);
+          return roster_certify_options(solver::BackendId::kGreedy, i, k, r);
         }});
     const auto report = differential_check(inst, options);
     if (report.ok()) continue;

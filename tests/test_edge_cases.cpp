@@ -16,7 +16,6 @@
 #include "algo/m_partition.h"
 #include "algo/move_min.h"
 #include "algo/partition.h"
-#include "algo/rebalancer.h"
 #include "algo/thresholds.h"
 #include "algo/unit_exact.h"
 #include "core/analysis.h"
@@ -24,6 +23,7 @@
 #include "core/io.h"
 #include "core/lower_bounds.h"
 #include "lp/gap.h"
+#include "sim/policies.h"
 
 namespace lrb {
 namespace {
@@ -36,7 +36,7 @@ Instance empty_instance(ProcId m) {
 
 TEST(EdgeCases, EmptyInstanceEverywhere) {
   const auto inst = empty_instance(3);
-  for (const auto& algo : standard_rebalancers()) {
+  for (const auto& algo : sim::unit_policies()) {
     const auto r = algo.run(inst, 4);
     EXPECT_EQ(r.makespan, 0) << algo.name;
     EXPECT_EQ(r.moves, 0) << algo.name;
@@ -51,7 +51,7 @@ TEST(EdgeCases, EmptyInstanceEverywhere) {
 
 TEST(EdgeCases, SingleJob) {
   const auto inst = make_instance({42}, {0}, 4);
-  for (const auto& algo : standard_rebalancers()) {
+  for (const auto& algo : sim::unit_policies()) {
     const auto r = algo.run(inst, 2);
     EXPECT_EQ(r.makespan, 42) << algo.name;  // indivisible: nothing to gain
   }
@@ -63,7 +63,7 @@ TEST(EdgeCases, SingleJob) {
 
 TEST(EdgeCases, SingleProcessorAllAlgorithms) {
   const auto inst = make_instance({5, 7, 3}, {0, 0, 0}, 1);
-  for (const auto& algo : standard_rebalancers()) {
+  for (const auto& algo : sim::unit_policies()) {
     EXPECT_EQ(algo.run(inst, 3).makespan, 15) << algo.name;
   }
   CostPartitionOptions cp;
@@ -88,7 +88,7 @@ TEST(EdgeCases, AllJobsIdenticalSizes) {
 
 TEST(EdgeCases, ZeroSizeJobsAreHarmless) {
   const auto inst = make_instance({0, 5, 0, 3, 0}, {0, 0, 1, 1, 2}, 3);
-  for (const auto& algo : standard_rebalancers()) {
+  for (const auto& algo : sim::unit_policies()) {
     const auto r = algo.run(inst, 2);
     EXPECT_FALSE(validate(inst, r.assignment).has_value()) << algo.name;
     EXPECT_GE(r.makespan, 5) << algo.name;

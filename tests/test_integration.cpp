@@ -11,7 +11,6 @@
 #include "algo/greedy.h"
 #include "algo/local_search.h"
 #include "algo/m_partition.h"
-#include "algo/rebalancer.h"
 #include "core/analysis.h"
 #include "core/generators.h"
 #include "core/io.h"
@@ -20,7 +19,9 @@
 #include "ext/constrained.h"
 #include "ext/threedm.h"
 #include "lp/gap.h"
+#include "sim/policies.h"
 #include "sim/simulator.h"
+#include "solver/registry.h"
 
 namespace lrb {
 namespace {
@@ -37,7 +38,7 @@ TEST(Integration, GenerateSerializeSolveEvaluate) {
   const auto parsed = instance_from_string(instance_to_string(original));
   ASSERT_TRUE(parsed.has_value());
 
-  for (const auto& algo : standard_rebalancers()) {
+  for (const auto& algo : sim::unit_policies()) {
     const auto result = algo.run(*parsed, 12);
     ASSERT_FALSE(validate(*parsed, result.assignment).has_value()) << algo.name;
 
@@ -67,7 +68,8 @@ TEST(Integration, PipelineImprovementChain) {
     const std::int64_t k = 10;
     const Size lb = combined_lower_bound(inst, k);
     const auto greedy = greedy_rebalance(inst, k);
-    const auto best = best_of_rebalance(inst, k);
+    const auto best =
+        solver::solve_serial(solver::BackendId::kBestOf, inst, k);
     LocalSearchOptions options;
     options.max_moves = k;
     const auto polished = local_search_improve(inst, best, options);

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "algo/rebalancer.h"
 #include "sim/process_sim.h"
+#include "solver/registry.h"
 
 namespace lrb::sim {
 namespace {
@@ -23,7 +23,7 @@ ProcessSimOptions base_options(std::uint64_t seed) {
 
 ProcessPolicy best_of_policy() {
   return [](const Instance& inst, std::int64_t k) {
-    return best_of_rebalance(inst, k);
+    return solver::solve_serial(solver::BackendId::kBestOf, inst, k);
   };
 }
 

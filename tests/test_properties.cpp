@@ -15,12 +15,13 @@
 #include "algo/local_search.h"
 #include "algo/m_partition.h"
 #include "algo/ptas.h"
-#include "algo/rebalancer.h"
 #include "algo/unit_exact.h"
 #include "core/generators.h"
 #include "core/io.h"
 #include "core/lower_bounds.h"
 #include "lp/gap.h"
+#include "sim/policies.h"
+#include "solver/registry.h"
 
 namespace lrb {
 namespace {
@@ -92,7 +93,8 @@ TEST_P(UnitCostProperties, TheoremGuaranteesHoldAgainstExact) {
     EXPECT_LE(stats.accepted_threshold, exact.best.makespan) << "seed=" << seed;
 
     // best-of dominates both.
-    const auto best = best_of_rebalance(inst, k());
+    const auto best =
+        solver::solve_serial(solver::BackendId::kBestOf, inst, k());
     EXPECT_LE(best.makespan, std::min(greedy.makespan, mp.makespan))
         << "seed=" << seed;
 
@@ -198,8 +200,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // -------------------------------------------------- determinism contracts
 
+// The unit-cost roster: the "none" baseline, then every non-costed registry
+// backend in BackendId order (sim::unit_policies()).
 std::string roster_name(int index) {
-  return standard_rebalancers()[static_cast<std::size_t>(index)].name;
+  return sim::unit_policies()[static_cast<std::size_t>(index)].name;
 }
 
 class Determinism : public ::testing::TestWithParam<int> {};
@@ -208,7 +212,7 @@ TEST_P(Determinism, AlgorithmsAreBitReproducible) {
   // Every rebalancer must produce an identical assignment on repeated runs
   // and on an instance that round-tripped through the text format - the
   // property that makes EXPERIMENTS.md regenerable.
-  const auto roster = standard_rebalancers();
+  const auto roster = sim::unit_policies();
   const auto& algo = roster[static_cast<std::size_t>(GetParam())];
   GeneratorOptions opt;
   opt.num_jobs = 40;
@@ -232,7 +236,9 @@ TEST_P(Determinism, AlgorithmsAreBitReproducible) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, Determinism, ::testing::Range(0, 5),
+INSTANTIATE_TEST_SUITE_P(Sweep, Determinism,
+                         ::testing::Range(0, static_cast<int>(
+                                                 sim::unit_policies().size())),
                          [](const ::testing::TestParamInfo<int>& param_info) {
                            std::string name = roster_name(param_info.param);
                            for (char& ch : name) {
@@ -283,11 +289,11 @@ TEST_P(FuzzShapes, UniversalInvariantsHold) {
     const std::int64_t k = rng.uniform_int(0, 30);
     const Size lb = combined_lower_bound(inst, k);
 
-    for (const auto& algo : standard_rebalancers()) {
+    for (const auto& algo : sim::unit_policies()) {
       const auto r = algo.run(inst, k);
       ASSERT_FALSE(validate(inst, r.assignment).has_value())
           << algo.name << " trial=" << trial;
-      if (algo.name != "lpt-full") {
+      if (algo.backend == nullptr || algo.backend->respects_k) {
         EXPECT_LE(r.moves, k) << algo.name << " trial=" << trial;
         EXPECT_GE(r.makespan, lb) << algo.name << " trial=" << trial;
       }

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
-#include "algo/rebalancer.h"
+#include "sim/policies.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
+#include "solver/registry.h"
 
 namespace lrb::sim {
 namespace {
@@ -101,11 +103,9 @@ SimOptions base_sim(std::uint64_t seed) {
 }
 
 Policy policy_by_name(const std::string& name) {
-  for (auto& p : standard_rebalancers()) {
-    if (p.name == name) return p.run;
-  }
-  ADD_FAILURE() << "unknown policy " << name;
-  return {};
+  Policy policy = unit_policy(name);
+  if (!policy) ADD_FAILURE() << "unknown policy " << name;
+  return policy;
 }
 
 TEST(Simulator, DeterministicReplay) {
@@ -295,7 +295,12 @@ TEST(Policies, ByteBudgetPoliciesRespectBytes) {
 }
 
 TEST(Policies, UnitRosterLookup) {
-  EXPECT_EQ(unit_policies().size(), 5u);
+  // "none" plus every registry backend that is not costed.
+  std::size_t unit_backends = 0;
+  for (const auto& backend : solver::all_backends()) {
+    if (!backend.costed) ++unit_backends;
+  }
+  EXPECT_EQ(unit_policies().size(), 1 + unit_backends);
   const auto policy = unit_policy("greedy");
   lrb::GeneratorOptions gen;
   gen.num_jobs = 20;
@@ -303,6 +308,23 @@ TEST(Policies, UnitRosterLookup) {
   const auto inst = lrb::random_instance(gen, 1);
   const auto result = policy(inst, 3);
   EXPECT_LE(result.moves, 3);
+
+  // Registry aliases resolve to their backend; unknown and costed names
+  // give an empty Policy.
+  const std::pair<const char*, const char*> aliases[] = {
+      {"lpt-full", "lpt"}, {"mp-ls", "local-search"}, {"bestof", "best-of"}};
+  for (const auto& [alias, canonical] : aliases) {
+    const Policy by_alias = unit_policy(alias);
+    const Policy by_name = unit_policy(canonical);
+    ASSERT_TRUE(by_alias) << alias;
+    ASSERT_TRUE(by_name) << canonical;
+    EXPECT_EQ(by_alias(inst, 3).assignment, by_name(inst, 3).assignment)
+        << alias;
+  }
+  EXPECT_TRUE(unit_policy("none"));
+  EXPECT_FALSE(unit_policy("no-such-policy"));
+  EXPECT_FALSE(unit_policy(""));
+  EXPECT_FALSE(unit_policy("ptas"));
 }
 
 TEST(Policies, CostAwareBeatsCostBlindOnBytes) {

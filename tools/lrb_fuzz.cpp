@@ -463,15 +463,12 @@ std::string backend_divergence(const solver::SolverSpec& spec,
                                ThreadPool& pool) {
   const RebalanceResult got = solver::solve_serial(spec, instance, k);
   RebalanceResult direct;
-  const char* roster_name = nullptr;
   switch (spec.backend) {
     case solver::BackendId::kLpt:
       direct = lpt_schedule(instance);
-      roster_name = "lpt-full";
       break;
     case solver::BackendId::kLocalSearch:
       direct = m_partition_ls_rebalance(instance, k);
-      roster_name = "mp-ls";
       break;
     default:
       return "backend has no direct differential reference";
@@ -495,7 +492,7 @@ std::string backend_divergence(const solver::SolverSpec& spec,
     return "context/parallel solve diverges from the serial solve";
   }
   const auto certificate = certify_solution(
-      instance, got, roster_certify_options(roster_name, instance, k, got));
+      instance, got, roster_certify_options(spec.backend, instance, k, got));
   if (!certificate.ok()) return certificate.to_string();
   return {};
 }
@@ -822,9 +819,10 @@ int main(int argc, char** argv) {
     out.fuzz_case = draw_case(rng, max_jobs, max_procs);
     if (with_mutant) {
       out.fuzz_case.options.extra.push_back(CheckedRebalancer{
-          NamedRebalancer{"mutant-greedy", mutant_greedy},
+          "mutant-greedy", mutant_greedy,
           [](const Instance& inst, std::int64_t k, const RebalanceResult& r) {
-            return roster_certify_options("greedy", inst, k, r);
+            return roster_certify_options(solver::BackendId::kGreedy, inst, k,
+                                          r);
           }});
     }
     if (pool != nullptr) {
@@ -832,13 +830,13 @@ int main(int argc, char** argv) {
       // the shared, already-busy pool) and certify it like the serial one.
       ThreadPool* p = pool.get();
       out.fuzz_case.options.extra.push_back(CheckedRebalancer{
-          NamedRebalancer{"engine-m-partition",
-                          [p](const Instance& inst, std::int64_t k) {
-                            return m_partition_rebalance_parallel(inst, k, *p,
-                                                                  nullptr, 2);
-                          }},
+          "engine-m-partition",
+          [p](const Instance& inst, std::int64_t k) {
+            return m_partition_rebalance_parallel(inst, k, *p, nullptr, 2);
+          },
           [](const Instance& inst, std::int64_t k, const RebalanceResult& r) {
-            return roster_certify_options("m-partition", inst, k, r);
+            return roster_certify_options(solver::BackendId::kMPartition, inst,
+                                          k, r);
           }});
     }
     out.report =
@@ -941,7 +939,7 @@ int main(int argc, char** argv) {
       if (!engine_in_signature) {
         std::erase_if(shrink_case_options.extra,
                       [](const CheckedRebalancer& extra) {
-                        return extra.rebalancer.name == "engine-m-partition";
+                        return extra.name == "engine-m-partition";
                       });
       }
       const auto still_fails = [&](const Instance& candidate) {

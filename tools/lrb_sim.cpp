@@ -5,7 +5,9 @@
 //                --every 5 --k 12 --seed 7 > series.csv
 //
 // Flags (defaults in parentheses):
-//   --policy none|greedy|m-partition|best-of|lpt-full (m-partition)
+//   --policy NAME (m-partition)  none, or a non-costed solver registry
+//                          backend by name or alias (an unknown name gets
+//                          the registry list)
 //   --byte-budget B        use cost-PARTITION with B bytes per round instead
 //   --sites N (300)        --servers M (12)     --steps T (400)
 //   --every R (5)          --k K (12)           --seed S (1)
@@ -17,6 +19,7 @@
 
 #include "sim/policies.h"
 #include "sim/simulator.h"
+#include "solver/registry.h"
 #include "util/flags.h"
 #include "util/version.h"
 #include "util/table.h"
@@ -66,14 +69,12 @@ int main(int argc, char** argv) {
     policy_name = "cost-partition(" +
                   std::to_string(flags.get_int("byte-budget", 5000)) + "B)";
   } else {
-    bool known = false;
-    for (auto& candidate : unit_policies()) {
-      if (candidate.name == policy_name) {
-        policy = candidate.run;
-        known = true;
-      }
+    policy = unit_policy(policy_name);
+    if (!policy) {
+      return fail("unknown --policy '" + policy_name +
+                  "' (expected none or a non-costed backend of " +
+                  solver::backend_list() + ")");
     }
-    if (!known) return fail("unknown --policy '" + policy_name + "'");
   }
 
   Simulator simulator(options, policy);

@@ -8,8 +8,9 @@
 // Reads the instance from the positional path ("-" = stdin). Prints a
 // before/after report to stderr and the assignment to --out (or stdout).
 //
-// Algorithms: none | greedy | m-partition | mp-ls | best-of | lpt-full |
-//             cost-greedy | cost-partition | ptas | shmoys-tardos | exact
+// Algorithms: none, every solver registry backend by name or alias (the
+// usage text lists them), and the non-registry cost-greedy |
+// cost-partition | shmoys-tardos | exact.
 // Budgets: --k for unit-cost algorithms (default n), --budget for cost-aware
 // ones (default: the k value), --eps for the PTAS (default 0.5).
 
@@ -20,17 +21,14 @@
 #include "algo/cost_greedy.h"
 #include "algo/cost_partition.h"
 #include "algo/exact.h"
-#include "algo/greedy.h"
-#include "algo/local_search.h"
-#include "algo/lpt.h"
-#include "algo/m_partition.h"
 #include "algo/ptas.h"
-#include "algo/rebalancer.h"
 #include "core/analysis.h"
 #include "core/plan.h"
 #include "core/io.h"
 #include "core/lower_bounds.h"
 #include "lp/gap.h"
+#include "sim/policies.h"
+#include "solver/registry.h"
 #include "util/flags.h"
 #include "util/version.h"
 #include "util/timer.h"
@@ -40,6 +38,11 @@ namespace {
 int fail(const std::string& message) {
   std::cerr << "lrb_solve: " << message << "\n";
   return 1;
+}
+
+std::string algo_list() {
+  return "none|" + lrb::solver::backend_list() +
+         "|cost-greedy|cost-partition|shmoys-tardos|exact";
 }
 
 }  // namespace
@@ -53,7 +56,8 @@ int main(int argc, char** argv) {
   }
   if (flags.positional().size() != 1) {
     return fail("usage: lrb_solve <instance.lrb|-> --algo NAME [--k K] "
-                "[--budget B] [--eps E] [--out FILE]");
+                "[--budget B] [--eps E] [--out FILE]\n  NAME: " +
+                algo_list());
   }
 
   std::optional<Instance> instance;
@@ -75,18 +79,9 @@ int main(int argc, char** argv) {
 
   Timer timer;
   RebalanceResult result;
-  if (algo == "none") {
-    result = no_move_result(*instance);
-  } else if (algo == "greedy") {
-    result = greedy_rebalance(*instance, k);
-  } else if (algo == "m-partition") {
-    result = m_partition_rebalance(*instance, k);
-  } else if (algo == "mp-ls") {
-    result = m_partition_ls_rebalance(*instance, k);
-  } else if (algo == "best-of") {
-    result = best_of_rebalance(*instance, k);
-  } else if (algo == "lpt-full") {
-    result = lpt_schedule(*instance);
+  // none and the unit-cost registry backends (names and aliases).
+  if (const sim::Policy unit = sim::unit_policy(algo)) {
+    result = unit(*instance, k);
   } else if (algo == "cost-greedy") {
     result = cost_greedy_rebalance(*instance, budget);
   } else if (algo == "cost-partition") {
@@ -94,6 +89,8 @@ int main(int argc, char** argv) {
     options.budget = budget;
     result = cost_partition_rebalance(*instance, options);
   } else if (algo == "ptas") {
+    // Direct, not through the registry: the registry drops
+    // PtasResult::success, which is reported here as an error.
     PtasOptions options;
     options.budget = budget;
     options.eps = eps;
@@ -116,7 +113,8 @@ int main(int argc, char** argv) {
     }
     result = exact.best;
   } else {
-    return fail("unknown --algo '" + algo + "'");
+    return fail("unknown --algo '" + algo + "' (expected " + algo_list() +
+                ")");
   }
   const double elapsed_ms = timer.millis();
 

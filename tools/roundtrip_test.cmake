@@ -5,12 +5,16 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "lrb_gen failed: ${rc}")
 endif()
-execute_process(
-  COMMAND ${LRB_SOLVE} ${WORK_DIR}/roundtrip.lrb --algo mp-ls --k 6
-          --out ${WORK_DIR}/roundtrip.assign RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "lrb_solve failed: ${rc}")
-endif()
+# Registry names and aliases alike; mp-ls (an alias of local-search) runs
+# last, so lrb_eval below checks its assignment.
+foreach(algo lpt local-search mp-ls)
+  execute_process(
+    COMMAND ${LRB_SOLVE} ${WORK_DIR}/roundtrip.lrb --algo ${algo} --k 6
+            --out ${WORK_DIR}/roundtrip.assign RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "lrb_solve --algo ${algo} failed: ${rc}")
+  endif()
+endforeach()
 execute_process(
   COMMAND ${LRB_EVAL} ${WORK_DIR}/roundtrip.lrb ${WORK_DIR}/roundtrip.assign
   RESULT_VARIABLE rc OUTPUT_VARIABLE eval_out)
@@ -26,8 +30,16 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "lrb_sweep failed: ${rc}")
 endif()
-if(NOT sweep_out MATCHES "m-partition")
-  message(FATAL_ERROR "lrb_sweep output missing rows")
+# One row per (unit-cost registry backend, k).
+foreach(algo greedy m-partition best-of lpt local-search)
+  if(NOT sweep_out MATCHES "\n${algo},2,[^\n]*\n${algo},4,")
+    message(FATAL_ERROR "lrb_sweep: no ${algo} rows for k = 2,4: ${sweep_out}")
+  endif()
+endforeach()
+string(REGEX MATCHALL "\n" sweep_lines "${sweep_out}")
+list(LENGTH sweep_lines sweep_rows)
+if(NOT sweep_rows EQUAL 11)  # the header + 5 backends x 2 budgets
+  message(FATAL_ERROR "lrb_sweep printed ${sweep_rows} lines: ${sweep_out}")
 endif()
 
 # ---------------------------------------------------------------------------
