@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <utility>
 
@@ -135,6 +136,10 @@ std::optional<Client> Client::connect_tcp(const std::string& host, int port,
                                           std::string* error,
                                           fault::SocketIo* io,
                                           std::uint32_t connect_timeout_ms) {
+  if (port < 1 || port > 65535) {
+    set_error(error, "tcp port " + std::to_string(port) + " out of range");
+    return std::nullopt;
+  }
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     set_errno_error(error, "socket(AF_INET)");
@@ -266,8 +271,13 @@ std::optional<Client::SolveOutcome> Client::solve(const SolveRequest& request,
             &header, &payload, error)) {
     return std::nullopt;
   }
+  return decode_solve_outcome(header.type, std::move(payload), error);
+}
+
+std::optional<Client::SolveOutcome> Client::decode_solve_outcome(
+    MsgType type, std::string payload, std::string* error) {
   SolveOutcome outcome;
-  if (header.type == MsgType::kSolveOk) {
+  if (type == MsgType::kSolveOk) {
     std::string decode_error;
     auto result = decode_solve_reply_payload(payload, &decode_error);
     if (!result) {
@@ -278,7 +288,7 @@ std::optional<Client::SolveOutcome> Client::solve(const SolveRequest& request,
     outcome.raw_payload = std::move(payload);
     return outcome;
   }
-  if (header.type == MsgType::kError) {
+  if (type == MsgType::kError) {
     outcome.server_error = decode_error_payload(payload);
     if (!outcome.server_error) {
       set_error(error, "malformed error reply");
@@ -288,6 +298,45 @@ std::optional<Client::SolveOutcome> Client::solve(const SolveRequest& request,
   }
   set_error(error, "unexpected reply type");
   return std::nullopt;
+}
+
+Endpoint Endpoint::unix_socket(std::string path) {
+  Endpoint endpoint;
+  endpoint.unix_path = std::move(path);
+  return endpoint;
+}
+
+std::optional<Endpoint> Endpoint::parse_tcp(std::string_view text,
+                                            std::string* error) {
+  const auto colon = text.rfind(':');
+  if (colon == std::string_view::npos || colon == 0) {
+    set_error(error, "want HOST:PORT, got '" + std::string(text) + "'");
+    return std::nullopt;
+  }
+  const std::string_view digits = text.substr(colon + 1);
+  unsigned port = 0;
+  const auto [end, status] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), port);
+  if (status != std::errc{} || end != digits.data() + digits.size() ||
+      port < 1 || port > 65535) {
+    set_error(error, "bad port '" + std::string(digits) +
+                         "' (want 1..65535)");
+    return std::nullopt;
+  }
+  Endpoint endpoint;
+  endpoint.tcp_host = std::string(text.substr(0, colon));
+  endpoint.tcp_port = static_cast<int>(port);
+  return endpoint;
+}
+
+std::optional<Client> Endpoint::connect(
+    std::string* error, fault::SocketIo* io,
+    std::uint32_t connect_timeout_ms) const {
+  return unix_path.empty()
+             ? Client::connect_tcp(tcp_host, tcp_port, error, io,
+                                   connect_timeout_ms)
+             : Client::connect_unix(unix_path, error, io,
+                                    connect_timeout_ms);
 }
 
 }  // namespace lrb::svc

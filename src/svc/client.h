@@ -1,11 +1,13 @@
 // A small blocking client for the lrb_serve wire protocol, used by the
-// lrb_load generator and the loopback tests. One Client = one connection;
-// not thread-safe (use one per thread).
+// lrb_load generator, the e2e benchmark driver and the loopback tests.
+// One Client = one connection; not thread-safe (use one per thread).
+// Endpoint names where to connect, for this client and for the retrying
+// ResilientClient (svc/retry_client.h) built on it.
 //
 // All socket IO goes through a fault::SocketIo (the real syscalls by
 // default), so the chaos harness can perturb the client side of the
 // stream too. recv_frame_until adds a poll-based deadline, which is what
-// ResilientClient (svc/retry_client.h) builds its solve timeout on.
+// ResilientClient builds its per-attempt reply timeout on.
 
 #pragma once
 
@@ -78,12 +80,36 @@ class Client {
       const SolveRequest& request, std::uint64_t request_id,
       std::string* error);
 
+  /// Classifies one Solve reply: a SolveOk whose payload decodes, or a
+  /// well-formed Error. Anything else is nullopt with *error set.
+  [[nodiscard]] static std::optional<SolveOutcome> decode_solve_outcome(
+      MsgType type, std::string payload, std::string* error);
+
   void close();
 
  private:
   int fd_ = -1;
   fault::SocketIo* io_ = &fault::SocketIo::real();
   std::string recv_buf_;
+};
+
+/// Where to (re)connect: a unix socket when unix_path is set, else TCP.
+struct Endpoint {
+  std::string unix_path;
+  std::string tcp_host = "127.0.0.1";
+  int tcp_port = -1;
+
+  [[nodiscard]] static Endpoint unix_socket(std::string path);
+
+  /// Parses HOST:PORT, split at the last colon. Rejects an empty host and
+  /// a port that is not all digits or lies outside 1..65535.
+  [[nodiscard]] static std::optional<Endpoint> parse_tcp(
+      std::string_view text, std::string* error);
+
+  /// Client::connect_unix or Client::connect_tcp, whichever this names.
+  [[nodiscard]] std::optional<Client> connect(
+      std::string* error, fault::SocketIo* io = &fault::SocketIo::real(),
+      std::uint32_t connect_timeout_ms = 0) const;
 };
 
 }  // namespace lrb::svc

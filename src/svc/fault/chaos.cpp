@@ -185,9 +185,9 @@ stream::DeltaLog make_session_log(const CampaignOptions& options,
       mixed_corpus_instance(session, options.seed), events, trigger);
 }
 
-/// Streaming-session campaign: N concurrent sessions, each a SessionClient
-/// thread behind its own fault injector, every ack byte-compared against
-/// the serial replay mirror (run_session_stream). The stats byte-compare at
+/// Streaming-session campaign: N concurrent sessions, each a
+/// run_session_stream thread behind its own fault injector, every ack
+/// byte-compared against the serial replay mirror. The stats byte-compare at
 /// the end of each session is the per-session delta ledger; on top of that
 /// the server-side stream.deltas_* totals must equal the sum of the
 /// mirrors' — if an injected reset ever made the server re-apply a resent

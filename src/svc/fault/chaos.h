@@ -71,14 +71,14 @@ struct CampaignOptions {
   RetryPolicy retry;
 
   /// Streaming-session mode (docs/streaming.md): when > 0 the campaign
-  /// runs this many concurrent SESSIONS (one SessionClient thread each)
-  /// instead of one-shot Solves. Each session streams a seeded delta log
-  /// under fault injection; `check` byte-compares every ack against the
-  /// serial replay mirror, and the final server-side session stats must
-  /// equal the mirror's — the zero-lost / zero-duplicated DELTA ledger
-  /// (an injected reset can only ever force a dedup'd resend, never a
-  /// re-apply). restart_server is ignored here: sessions are server
-  /// state and die with it by design.
+  /// runs this many concurrent SESSIONS (one run_session_stream thread
+  /// each, on its own ResilientClient) instead of one-shot Solves. Each
+  /// session streams a seeded delta log under fault injection; `check`
+  /// byte-compares every ack against the serial replay mirror, and the
+  /// final server-side session stats must equal the mirror's — the
+  /// zero-lost / zero-duplicated DELTA ledger (an injected reset can only
+  /// ever force a dedup'd resend, never a re-apply). restart_server is
+  /// ignored here: sessions are server state and die with it by design.
   std::size_t stream_sessions = 0;
   std::size_t deltas_per_session = 64;
 };

@@ -1,11 +1,19 @@
-// ResilientClient: a retrying wrapper around svc::Client for the
-// idempotent requests (Solve, Ping).
+// ResilientClient: the one retrying client core around svc::Client. It
+// carries both the one-shot Solve (solve) and the wire-v2 session calls
+// (call, driven by run_session_stream in svc/session_client.h).
+//
+// call() resends one request frame — same request id, same bytes — until
+// it gets an answer. It is only ever used for requests whose resend is
+// harmless: Solve is idempotent, and a resent session frame is answered
+// from the server's exactly-once dedup (docs/streaming.md).
 //
 // Failure handling:
 //   * transport errors (send/recv failure, EOF, torn or corrupt reply
-//     frame, receive timeout) tear the connection down and retry on a
-//     fresh one — the dead connection is never reused, so a stale reply
-//     can never be matched to a later request;
+//     frame, receive timeout), a reply for another request id, and a
+//     reply the caller does not accept (e.g. a SolveOk that does not
+//     decode) tear the connection down and retry on a fresh one — the
+//     dead connection is never reused, so a stale reply can never be
+//     matched to a later request;
 //   * Overloaded / Draining server errors back off and retry (Draining
 //     implies reconnecting, since that server instance will not accept
 //     new work again);
@@ -13,8 +21,8 @@
 //     has no checksum, so a BadRequest may be line corruption of a good
 //     frame. A genuinely malformed request fails every attempt and comes
 //     back as the give-up error;
-//   * DeadlineExceeded is a definitive outcome — the request's own
-//     deadline passed — and is returned without retrying.
+//   * every other error (DeadlineExceeded, the session errors) is a
+//     definitive outcome and is returned without retrying.
 //
 // Backoff is bounded exponential with seeded jitter (deterministic for a
 // given RetryPolicy::jitter_seed), so chaos campaigns replay identically.
@@ -26,8 +34,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "svc/client.h"
@@ -35,25 +45,6 @@
 #include "util/rng.h"
 
 namespace lrb::svc {
-
-/// Where to (re)connect: exactly one of unix_path / tcp_port >= 0.
-struct Endpoint {
-  std::string unix_path;
-  std::string tcp_host = "127.0.0.1";
-  int tcp_port = -1;
-
-  [[nodiscard]] static Endpoint unix_socket(std::string path) {
-    Endpoint endpoint;
-    endpoint.unix_path = std::move(path);
-    return endpoint;
-  }
-  [[nodiscard]] static Endpoint tcp(std::string host, int port) {
-    Endpoint endpoint;
-    endpoint.tcp_host = std::move(host);
-    endpoint.tcp_port = port;
-    return endpoint;
-  }
-};
 
 struct RetryPolicy {
   /// Attempts per request (first try included). 0 is treated as 1.
@@ -74,29 +65,41 @@ class ResilientClient {
                   obs::Registry* metrics = &obs::Registry::global(),
                   fault::SocketIo* io = &fault::SocketIo::real());
 
-  struct Outcome {
-    std::optional<RebalanceResult> result;  ///< set iff SolveOk
-    std::string raw_payload;                ///< SolveOk payload bytes
-    std::optional<ErrorReply> server_error; ///< definitive server error
-    std::size_t attempts = 1;               ///< round-trips consumed
+  /// A call's answer: an accepted reply or a definitive server error.
+  struct Reply {
+    MsgType type = MsgType::kError;
+    std::string payload;                     ///< reply payload bytes
+    std::optional<ErrorReply> server_error;  ///< set iff type == kError
+    std::size_t attempts = 1;                ///< round-trips consumed
   };
 
-  /// Solves with retries. nullopt (and *error) only when every attempt
-  /// failed; otherwise an Outcome carrying the result or the definitive
-  /// server error.
+  /// Decides whether a non-error reply ends the call. A rejected reply is
+  /// retried on a fresh connection with *why as its error. An accepting
+  /// check may take the payload.
+  using AcceptReply =
+      std::function<bool(MsgType type, std::string& payload, std::string* why)>;
+
+  /// Sends one request and retries it until a reply is accepted (an empty
+  /// `accept` takes every non-error type) or a definitive server error
+  /// arrives. nullopt (and *error) only when every attempt failed.
+  [[nodiscard]] std::optional<Reply> call(MsgType type,
+                                          std::uint64_t request_id,
+                                          std::string_view payload,
+                                          std::string* error,
+                                          const AcceptReply& accept = {});
+
+  struct Outcome : Client::SolveOutcome {
+    std::size_t attempts = 1;  ///< round-trips consumed
+  };
+
+  /// call() for a Solve: accepts only a SolveOk whose payload decodes.
+  /// The Outcome carries the result or the definitive server error.
   [[nodiscard]] std::optional<Outcome> solve(const SolveRequest& request,
                                              std::uint64_t request_id,
                                              std::string* error);
 
-  /// Ping with retries; true once a Pong with the right id comes back.
-  [[nodiscard]] bool ping(std::uint64_t request_id, std::string* error);
-
   /// Drops the current connection (the next request reconnects).
   void disconnect();
-
-  [[nodiscard]] const RetryPolicy& policy() const noexcept {
-    return policy_;
-  }
 
  private:
   [[nodiscard]] bool ensure_connected(std::string* error);

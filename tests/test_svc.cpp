@@ -857,5 +857,38 @@ TEST(SvcLoopback, TcpListenerServesTheSameProtocol) {
   EXPECT_EQ(outcome->raw_payload, expected_reply_payload(request));
 }
 
+TEST(Endpoint, ParsesHostAndPort) {
+  std::string error;
+  const auto endpoint = Endpoint::parse_tcp("127.0.0.1:7733", &error);
+  ASSERT_TRUE(endpoint) << error;
+  EXPECT_TRUE(endpoint->unix_path.empty());
+  EXPECT_EQ(endpoint->tcp_host, "127.0.0.1");
+  EXPECT_EQ(endpoint->tcp_port, 7733);
+  const auto top = Endpoint::parse_tcp("127.0.0.1:65535", &error);
+  ASSERT_TRUE(top) << error;
+  EXPECT_EQ(top->tcp_port, 65535);
+}
+
+TEST(Endpoint, RejectsMalformedAndOutOfRangePorts) {
+  for (const char* text :
+       {"127.0.0.1:70000", "127.0.0.1:-5", "127.0.0.1:7733junk",
+        "127.0.0.1:", ":", "127.0.0.1:0", "127.0.0.1", ":7733",
+        "127.0.0.1:+80", "127.0.0.1: 80"}) {
+    std::string error;
+    EXPECT_FALSE(Endpoint::parse_tcp(text, &error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+}
+
+TEST(Endpoint, ConnectTcpRejectsOutOfRangePortsInsteadOfWrapping) {
+  // 70000 would wrap to 4464 and -5 to 65531 through a uint16_t cast.
+  for (const int port : {70000, -5, 0, 65536}) {
+    std::string error;
+    EXPECT_FALSE(Client::connect_tcp("127.0.0.1", port, &error)) << port;
+    EXPECT_NE(error.find("out of range"), std::string::npos)
+        << port << ": " << error;
+  }
+}
+
 }  // namespace
 }  // namespace lrb::svc

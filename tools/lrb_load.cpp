@@ -93,9 +93,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 struct LoadConfig {
-  std::string unix_path;
-  std::string tcp_host;
-  int tcp_port = -1;
+  lrb::svc::Endpoint endpoint;
   std::size_t connections = 4;
   std::size_t requests = 64;
   double duration_s = 0.0;
@@ -124,15 +122,6 @@ struct WorkerStats {
 int fail(const std::string& message) {
   std::cerr << "lrb_load: " << message << "\n";
   return 1;
-}
-
-std::optional<lrb::svc::Client> connect(const LoadConfig& config,
-                                        std::string* error) {
-  if (!config.unix_path.empty()) {
-    return lrb::svc::Client::connect_unix(config.unix_path, error);
-  }
-  return lrb::svc::Client::connect_tcp(config.tcp_host, config.tcp_port,
-                                       error);
 }
 
 void note(WorkerStats& stats, std::string message) {
@@ -183,7 +172,7 @@ bool reply_matches_reference(const LoadConfig& config, std::size_t index,
 void run_worker(const LoadConfig& config, std::size_t conn, Clock::time_point
                 start, WorkerStats& stats) {
   std::string error;
-  auto client = connect(config, &error);
+  auto client = config.endpoint.connect(&error);
   if (!client) {
     note(stats, "connect failed: " + error);
     ++stats.other_errors;
@@ -265,7 +254,7 @@ void run_worker(const LoadConfig& config, std::size_t conn, Clock::time_point
 void run_worker_pipelined(const LoadConfig& config, std::size_t conn,
                           Clock::time_point start, WorkerStats& stats) {
   std::string error;
-  auto client = connect(config, &error);
+  auto client = config.endpoint.connect(&error);
   if (!client) {
     note(stats, "connect failed: " + error);
     ++stats.other_errors;
@@ -400,22 +389,21 @@ int main(int argc, char** argv) {
     config.connections = 2;
     config.requests = 24;
   }
-  config.unix_path = flags.get_or("unix", "");
-  if (const auto tcp = flags.get("tcp")) {
-    const auto colon = tcp->rfind(':');
-    if (colon == std::string::npos) return fail("--tcp wants HOST:PORT");
-    config.tcp_host = tcp->substr(0, colon);
-    try {
-      config.tcp_port = std::stoi(tcp->substr(colon + 1));
-    } catch (...) {
-      return fail("bad --tcp port");
-    }
-  }
-  if (config.unix_path.empty() && config.tcp_port < 0) {
+  const std::string unix_path = flags.get_or("unix", "");
+  const auto tcp = flags.get("tcp");
+  if (unix_path.empty() && !tcp) {
     return fail("need one of --unix PATH / --tcp HOST:PORT");
   }
-  if (!config.unix_path.empty() && config.tcp_port >= 0) {
+  if (!unix_path.empty() && tcp) {
     return fail("--unix and --tcp are mutually exclusive");
+  }
+  if (tcp) {
+    std::string error;
+    auto endpoint = svc::Endpoint::parse_tcp(*tcp, &error);
+    if (!endpoint) return fail("bad --tcp: " + error);
+    config.endpoint = std::move(*endpoint);
+  } else {
+    config.endpoint = svc::Endpoint::unix_socket(unix_path);
   }
   config.connections = static_cast<std::size_t>(flags.get_int(
       "connections", static_cast<std::int64_t>(config.connections)));
@@ -463,17 +451,13 @@ int main(int argc, char** argv) {
     if (!log) {
       return fail("bad delta log '" + *trace_path + "': " + log_error);
     }
-    const svc::Endpoint endpoint =
-        config.unix_path.empty()
-            ? svc::Endpoint::tcp(config.tcp_host, config.tcp_port)
-            : svc::Endpoint::unix_socket(config.unix_path);
     std::vector<svc::StreamRunResult> sessions(config.connections);
     std::vector<std::thread> session_threads;
     session_threads.reserve(config.connections);
     for (std::size_t c = 0; c < config.connections; ++c) {
       session_threads.emplace_back([&, c] {
         svc::StreamRunOptions run;
-        run.endpoint = endpoint;
+        run.endpoint = config.endpoint;
         run.session_id = config.seed * 1000003 + c + 1;
         run.frame_size = frame;
         run.reconnect_every = reconnect_every;
@@ -573,7 +557,7 @@ int main(int argc, char** argv) {
         << "  \"tool\": \"lrb_load\",\n"
         << "  \"config\": {\n"
         << "    \"transport\": \""
-        << (config.unix_path.empty() ? "tcp" : "unix") << "\",\n"
+        << (config.endpoint.unix_path.empty() ? "tcp" : "unix") << "\",\n"
         << "    \"connections\": " << config.connections << ",\n"
         << "    \"requests_per_connection\": " << config.requests << ",\n"
         << "    \"duration_s\": " << config.duration_s << ",\n"

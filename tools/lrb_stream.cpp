@@ -173,15 +173,10 @@ int main(int argc, char** argv) {
   if (!external_unix.empty()) {
     endpoint = svc::Endpoint::unix_socket(external_unix);
   } else if (external_tcp) {
-    const auto colon = external_tcp->rfind(':');
-    if (colon == std::string::npos) return fail("--tcp wants HOST:PORT");
-    int port = -1;
-    try {
-      port = std::stoi(external_tcp->substr(colon + 1));
-    } catch (...) {
-      return fail("bad --tcp port");
-    }
-    endpoint = svc::Endpoint::tcp(external_tcp->substr(0, colon), port);
+    std::string error;
+    auto parsed = svc::Endpoint::parse_tcp(*external_tcp, &error);
+    if (!parsed) return fail("bad --tcp: " + error);
+    endpoint = std::move(*parsed);
   } else {
     svc::ServerOptions options;
     std::ostringstream path;
