@@ -21,10 +21,9 @@
 #include "diffusion/graph.h"
 #include "diffusion/local_exchange.h"
 #include "knapsack/knapsack.h"
-#include "online/scheduler.h"
-#include "online/trace.h"
 #include "stream/replay.h"
 #include "stream/session.h"
+#include "stream/trace.h"
 
 namespace {
 
@@ -146,26 +145,33 @@ void BM_LocalExchangeRing(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalExchangeRing)->Arg(256)->Arg(1024);
 
-void BM_OnlineArriveDepart(benchmark::State& state) {
-  online::TraceOptions opt;
+// Arrivals (Graham placement) and departures on a 16-processor session
+// with every trigger off: the per-delta bookkeeping of the dynamic setting.
+void BM_SessionArriveDepart(benchmark::State& state) {
+  stream::TraceOptions opt;
   opt.num_events = static_cast<std::size_t>(state.range(0));
   opt.departure_fraction = 0.4;
-  const auto trace = online::random_trace(opt, 9);
+  const auto trace = stream::random_trace(opt, 9);
+  Instance cluster;
+  cluster.num_procs = 16;
+  stream::TriggerConfig quiet;  // no imbalance or delta-count trigger
+  const stream::SolveFn solve = stream::serial_reference_solver(false);
   for (auto _ : state) {
-    online::OnlineScheduler scheduler(16);
-    std::vector<std::size_t> handles;
-    for (const auto& event : trace) {
-      if (event.kind == online::EventKind::kArrive) {
-        handles.push_back(scheduler.on_arrive(event.size, event.move_cost));
-      } else {
-        scheduler.on_depart(handles[event.arrival_index]);
-      }
+    std::string error;
+    auto session = stream::ClusterSession::open(cluster, quiet, &error);
+    if (!session) {
+      state.SkipWithError(error.c_str());
+      break;
     }
-    benchmark::DoNotOptimize(scheduler.makespan());
+    std::uint64_t seq = 0;
+    for (const auto& delta : trace) {
+      benchmark::DoNotOptimize(session->step(delta, ++seq, solve));
+    }
+    benchmark::DoNotOptimize(session->makespan());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_OnlineArriveDepart)->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK(BM_SessionArriveDepart)->Arg(1 << 10)->Arg(1 << 14);
 
 // One server ack's worth of session work: a 16-delta step batch, then the
 // lower bound and the state digest every ack carries. The batch arrives 6

@@ -1,17 +1,22 @@
 // Experiment E16: the dynamic setting from the paper's abstract - an online
 // schedule erodes as jobs depart; periodic bounded rebalancing restores it.
-// Measures the tracking ratio makespan / offline-bound along arrival +
-// departure traces for a grid of (rebalance interval, move budget k),
-// including the two degenerate corners: never rebalance (pure Graham) and
-// arrivals-only (where Graham's 2 - 1/m guarantee applies unconditionally).
+// Each trace streams into a ClusterSession: arrivals are auto-placed
+// (Graham's least-loaded rule) and the delta-count trigger replans with a
+// move budget. Measures the tracking ratio makespan / lower bound along
+// arrival + departure traces for a grid of (rebalance interval, move
+// budget k), including the two degenerate corners: never rebalance (pure
+// Graham) and arrivals-only (where Graham's 2 - 1/m guarantee applies
+// unconditionally).
 
+#include <algorithm>
+#include <cstdlib>
 #include <iostream>
+#include <string>
 
-#include "algo/m_partition.h"
 #include "bench_common.h"
-#include "online/scheduler.h"
-#include "online/trace.h"
-#include "solver/registry.h"
+#include "stream/replay.h"
+#include "stream/session.h"
+#include "stream/trace.h"
 #include "util/rng.h"
 
 namespace {
@@ -22,39 +27,37 @@ struct RunMetrics {
   std::int64_t total_moves = 0;
 };
 
-RunMetrics run_trace(const std::vector<lrb::online::Event>& trace,
-                     lrb::ProcId m, std::size_t interval, std::int64_t k,
+RunMetrics run_trace(const std::vector<lrb::stream::Delta>& trace,
+                     lrb::ProcId m, std::uint32_t interval, std::uint32_t k,
                      bool frugal) {
   using namespace lrb;
-  using namespace lrb::online;
-  OnlineScheduler scheduler(m);
-  std::vector<std::size_t> handles;
+  stream::TriggerConfig trigger;
+  // M-PARTITION stops at its 1.5 guarantee (frugal); best-of also runs
+  // GREEDY, which spends the budget chasing the minimum.
+  trigger.spec.backend =
+      frugal ? solver::BackendId::kMPartition : solver::BackendId::kBestOf;
+  trigger.delta_count = interval;  // 0 = never rebalance
+  trigger.move_budget = k;
+  Instance cluster;
+  cluster.num_procs = m;
+  std::string error;
+  auto session = stream::ClusterSession::open(cluster, trigger, &error);
+  if (!session) {
+    std::cerr << "bench_online: " << error << "\n";
+    std::exit(1);
+  }
+  const stream::SolveFn solve = stream::serial_reference_solver(false);
   RunMetrics metrics;
   double sum = 0;
   std::size_t samples = 0;
-  std::size_t events = 0;
-  for (const auto& event : trace) {
-    if (event.kind == EventKind::kArrive) {
-      handles.push_back(scheduler.on_arrive(event.size, event.move_cost));
-    } else {
-      scheduler.on_depart(handles[event.arrival_index]);
+  std::uint64_t seq = 0;
+  for (const auto& delta : trace) {
+    for (const auto& plan : session->step(delta, ++seq, solve).plans) {
+      metrics.total_moves += static_cast<std::int64_t>(plan.moves.size());
     }
-    ++events;
-    if (interval > 0 && events % interval == 0 && scheduler.num_alive() > 0) {
-      const auto result = scheduler.rebalance(
-          [frugal](const Instance& inst, std::int64_t budget) {
-            // M-PARTITION stops at its 1.5 guarantee (frugal); best-of also
-            // runs GREEDY, which spends the budget chasing the minimum.
-            return frugal ? m_partition_rebalance(inst, budget)
-                          : solver::solve_serial(solver::BackendId::kBestOf,
-                                                 inst, budget);
-          },
-          k);
-      metrics.total_moves += result.moves;
-    }
-    if (scheduler.num_alive() > 0) {
-      const double ratio = static_cast<double>(scheduler.makespan()) /
-                           static_cast<double>(scheduler.offline_bound());
+    if (session->num_jobs() > 0) {
+      const double ratio = static_cast<double>(session->makespan()) /
+                           static_cast<double>(session->lower_bound());
       sum += ratio;
       metrics.max_ratio = std::max(metrics.max_ratio, ratio);
       ++samples;
@@ -69,7 +72,7 @@ RunMetrics run_trace(const std::vector<lrb::online::Event>& trace,
 int main(int argc, char** argv) {
   using namespace lrb;
   using namespace lrb::bench;
-  using namespace lrb::online;
+  using namespace lrb::stream;
   if (!parse_bench_flags(argc, argv)) return 2;
 
   std::cout << "E16: online arrivals/departures with periodic bounded "
@@ -87,8 +90,8 @@ int main(int argc, char** argv) {
   struct Config {
     const char* name;
     const TraceOptions* trace;
-    std::size_t interval;  // 0 = never rebalance
-    std::int64_t k;
+    std::uint32_t interval;  // 0 = never rebalance
+    std::uint32_t k;
     bool frugal;
   };
   const Config configs[] = {
@@ -113,10 +116,10 @@ int main(int argc, char** argv) {
     Rng rng(seed ^ 0xabcdefULL);
     shuffle(std::span<std::size_t>(order), rng);
     for (std::size_t i = 0; i < 260; ++i) {
-      Event event;
-      event.kind = EventKind::kDepart;
-      event.arrival_index = order[i];
-      trace.push_back(event);
+      Delta depart;
+      depart.kind = DeltaKind::kJobDepart;
+      depart.id = order[i];
+      trace.push_back(depart);
     }
     return trace;
   };
@@ -143,8 +146,8 @@ int main(int argc, char** argv) {
   // Drain-down rows.
   struct DrainConfig {
     const char* name;
-    std::size_t interval;
-    std::int64_t k;
+    std::uint32_t interval;
+    std::uint32_t k;
   };
   const DrainConfig drain_configs[] = {
       {"drain-down, no rebalance", 0, 0},

@@ -1,6 +1,7 @@
 // The dynamic setting end to end: an elastic cluster where jobs arrive and
-// depart online. Arrivals are placed greedily (Graham); every 40 events the
-// operator spends a small move budget on rebalancing. The drain-down phase
+// depart online, streamed as deltas into a ClusterSession. Arrivals are
+// placed greedily (Graham); every 40 deltas the session's delta-count
+// trigger spends a small move budget on rebalancing. The drain-down phase
 // at the end - departures with no arrivals to backfill - is where the
 // bounded rebalancing earns its keep.
 //
@@ -8,19 +9,23 @@
 
 #include <algorithm>
 #include <iostream>
+#include <string>
 
-#include "online/scheduler.h"
-#include "online/trace.h"
-#include "solver/registry.h"
+#include "stream/replay.h"
+#include "stream/session.h"
+#include "stream/trace.h"
 #include "util/rng.h"
 #include "util/table.h"
 
 int main() {
   using namespace lrb;
-  using namespace lrb::online;
+  using namespace lrb::stream;
 
   const ProcId servers = 8;
-  const std::int64_t k = 6;
+  TriggerConfig trigger;
+  trigger.spec = solver::BackendId::kBestOf;
+  trigger.delta_count = 40;  // replan every 40 deltas...
+  trigger.move_budget = 6;   // ...moving at most k = 6 jobs
 
   // Phase 1: 400 mixed events; phase 2: drain 200 of the survivors.
   TraceOptions options;
@@ -30,65 +35,55 @@ int main() {
   options.max_size = 150;
   auto trace = random_trace(options, 2003);
   {
-    std::vector<std::size_t> alive;
-    std::vector<char> alive_flag;
-    for (const auto& event : trace) {
-      if (event.kind == EventKind::kArrive) {
-        alive.push_back(event.arrival_index);
-        alive_flag.push_back(1);
+    std::vector<std::uint64_t> survivors;
+    for (const Delta& delta : trace) {
+      if (delta.kind == DeltaKind::kJobArrive) {
+        survivors.push_back(delta.id);
       } else {
-        alive_flag[event.arrival_index] = 0;
+        survivors.erase(
+            std::find(survivors.begin(), survivors.end(), delta.id));
       }
     }
-    std::vector<std::size_t> survivors;
-    for (std::size_t i = 0; i < alive_flag.size(); ++i) {
-      if (alive_flag[i] != 0) survivors.push_back(i);
-    }
     Rng rng(77);
-    shuffle(std::span<std::size_t>(survivors), rng);
+    shuffle(std::span<std::uint64_t>(survivors), rng);
     const std::size_t drain = std::min<std::size_t>(200, survivors.size());
     for (std::size_t i = 0; i < drain; ++i) {
-      Event event;
-      event.kind = EventKind::kDepart;
-      event.arrival_index = survivors[i];
-      trace.push_back(event);
+      Delta depart;
+      depart.kind = DeltaKind::kJobDepart;
+      depart.id = survivors[i];
+      trace.push_back(depart);
     }
   }
 
-  OnlineScheduler scheduler(servers);
-  std::vector<std::size_t> handles;
-  std::size_t events = 0;
-  std::int64_t total_moves = 0;
+  Instance cluster;
+  cluster.num_procs = servers;
+  std::string error;
+  auto session = ClusterSession::open(cluster, trigger, &error);
+  if (!session) {
+    std::cerr << "elastic_cluster: " << error << "\n";
+    return 1;
+  }
+  const SolveFn solve = serial_reference_solver(false);
+  std::uint64_t seq = 0;
+  std::uint64_t total_moves = 0;
 
   std::cout << "Elastic cluster: " << servers << " servers, " << trace.size()
-            << " events, rebalance every 40 events with k = " << k << "\n\n";
+            << " events, rebalance every " << trigger.delta_count
+            << " events with k = " << trigger.move_budget << "\n\n";
   Table table({"event", "alive", "makespan", "offline bound", "ratio",
                "moves so far"});
-  for (const auto& event : trace) {
-    if (event.kind == EventKind::kArrive) {
-      handles.push_back(scheduler.on_arrive(event.size, event.move_cost));
-    } else {
-      scheduler.on_depart(handles[event.arrival_index]);
+  for (const Delta& delta : trace) {
+    for (const SessionPlan& plan : session->step(delta, ++seq, solve).plans) {
+      total_moves += plan.moves.size();
     }
-    ++events;
-    if (events % 40 == 0 && scheduler.num_alive() > 0) {
-      total_moves += scheduler
-                         .rebalance(
-                             [](const Instance& inst, std::int64_t budget) {
-                               return solver::solve_serial(
-                                   solver::BackendId::kBestOf, inst, budget);
-                             },
-                             k)
-                         .moves;
-    }
-    if (events % 60 == 0 && scheduler.num_alive() > 0) {
+    if (seq % 60 == 0 && session->num_jobs() > 0) {
       table.row()
-          .add(static_cast<std::uint64_t>(events))
-          .add(static_cast<std::uint64_t>(scheduler.num_alive()))
-          .add(scheduler.makespan())
-          .add(scheduler.offline_bound())
-          .add(static_cast<double>(scheduler.makespan()) /
-                   static_cast<double>(scheduler.offline_bound()),
+          .add(seq)
+          .add(static_cast<std::uint64_t>(session->num_jobs()))
+          .add(session->makespan())
+          .add(session->lower_bound())
+          .add(static_cast<double>(session->makespan()) /
+                   static_cast<double>(session->lower_bound()),
                3)
           .add(total_moves);
     }

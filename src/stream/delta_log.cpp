@@ -265,30 +265,4 @@ std::optional<DeltaLog> delta_log_from_string(const std::string& text,
   return read_delta_log(iss, error);
 }
 
-DeltaLog delta_log_from_trace(const Instance& initial,
-                              const std::vector<online::Event>& events,
-                              const TriggerConfig& trigger) {
-  DeltaLog log;
-  log.initial = initial;
-  log.trigger = trigger;
-  log.deltas.reserve(events.size());
-  const std::uint64_t base = initial.num_jobs();
-  std::uint64_t arrivals = 0;
-  for (const online::Event& event : events) {
-    Delta delta;
-    if (event.kind == online::EventKind::kArrive) {
-      delta.kind = DeltaKind::kJobArrive;
-      delta.id = base + arrivals++;
-      delta.size = event.size;
-      delta.move_cost = event.move_cost;
-      delta.proc = kAutoPlace;
-    } else {
-      delta.kind = DeltaKind::kJobDepart;
-      delta.id = base + event.arrival_index;
-    }
-    log.deltas.push_back(delta);
-  }
-  return log;
-}
-
 }  // namespace lrb::stream

@@ -1,6 +1,5 @@
 // Plain-text serialization of streaming-session inputs, so session repros
-// can be checked in, diffed, and replayed (tests/corpus/*.lrbd), plus the
-// converter from src/online/trace event streams into delta logs.
+// can be checked in, diffed, and replayed (tests/corpus/*.lrbd).
 //
 // Format (whitespace-separated, '#' comments allowed):
 //
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "core/instance.h"
-#include "online/trace.h"
 #include "stream/session.h"
 
 namespace lrb::stream {
@@ -57,13 +55,5 @@ void write_delta_log(std::ostream& os, const DeltaLog& log);
     std::istream& is, std::string* error = nullptr);
 [[nodiscard]] std::optional<DeltaLog> delta_log_from_string(
     const std::string& text, std::string* error = nullptr);
-
-/// Converts an online trace into a delta log over `initial`: arrivals
-/// become kJobArrive deltas with auto-placement and stable job ids
-/// `initial.num_jobs() + arrival_index`; departures become kJobDepart of
-/// the same ids. The trigger config rides along unchanged.
-[[nodiscard]] DeltaLog delta_log_from_trace(
-    const Instance& initial, const std::vector<online::Event>& events,
-    const TriggerConfig& trigger);
 
 }  // namespace lrb::stream

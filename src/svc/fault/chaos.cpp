@@ -11,8 +11,8 @@
 
 #include "core/generators.h"
 #include "engine/batch_solver.h"
-#include "online/trace.h"
 #include "stream/delta_log.h"
+#include "stream/trace.h"
 #include "svc/server.h"
 #include "svc/session_client.h"
 #include "svc/wire.h"
@@ -166,23 +166,24 @@ void run_client_phase(const CampaignOptions& options, std::size_t client,
 }
 
 /// One seeded session workload: a mixed-corpus initial cluster plus a
-/// random arrival/departure trace folded into a delta log
-/// (stream::delta_log_from_trace), with triggers tight enough that most
-/// campaigns fire several replans while faults are flying.
+/// random arrival/departure trace (stream::random_trace, job ids after the
+/// initial ones), with triggers tight enough that most campaigns fire
+/// several replans while faults are flying.
 stream::DeltaLog make_session_log(const CampaignOptions& options,
                                   std::size_t session) {
-  stream::TriggerConfig trigger;
-  trigger.spec = options.solver;
-  trigger.move_frac = 0.25;
-  trigger.imbalance_ratio = 1.5;
-  trigger.delta_count = 16;
-  online::TraceOptions trace_options;
+  stream::DeltaLog log;
+  log.initial = mixed_corpus_instance(session, options.seed);
+  log.trigger.spec = options.solver;
+  log.trigger.move_frac = 0.25;
+  log.trigger.imbalance_ratio = 1.5;
+  log.trigger.delta_count = 16;
+  stream::TraceOptions trace_options;
   trace_options.num_events = options.deltas_per_session;
   trace_options.departure_fraction = 0.4;
-  const auto events = online::random_trace(
-      trace_options, campaign_seed(options.seed, 0x200 + session));
-  return stream::delta_log_from_trace(
-      mixed_corpus_instance(session, options.seed), events, trigger);
+  log.deltas = stream::random_trace(
+      trace_options, campaign_seed(options.seed, 0x200 + session),
+      log.initial.num_jobs());
+  return log;
 }
 
 /// Streaming-session campaign: N concurrent sessions, each a

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace lrb {
@@ -38,6 +39,17 @@ std::int64_t Flags::get_int(const std::string& key, std::int64_t fallback) const
   const auto v = get(key);
   if (!v) return fallback;
   return std::strtoll(v->c_str(), nullptr, 10);
+}
+
+std::int64_t Flags::get_int_in(const std::string& key, std::int64_t fallback,
+                              std::int64_t lo, std::int64_t hi,
+                              std::string* error) const {
+  const std::int64_t value = get_int(key, fallback);
+  if ((value < lo || value > hi) && error->empty()) {
+    *error = "--" + key + " must be in [" + std::to_string(lo) + ", " +
+             std::to_string(hi) + "]";
+  }
+  return std::clamp(value, lo, hi);
 }
 
 double Flags::get_double(const std::string& key, double fallback) const {

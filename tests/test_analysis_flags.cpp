@@ -100,5 +100,19 @@ TEST(Flags, KeysEnumerated) {
   EXPECT_EQ(keys[1], "b");
 }
 
+TEST(Flags, GetIntInReportsTheFirstOutOfRangeFlagAndClamps) {
+  const char* argv[] = {"tool", "--n", "-1", "--m", "9", "--k=99"};
+  const Flags flags(6, argv);
+  std::string error;
+  EXPECT_EQ(flags.get_int_in("m", 0, 1, 10, &error), 9);
+  EXPECT_EQ(flags.get_int_in("absent", 4, 1, 10, &error), 4);
+  EXPECT_TRUE(error.empty());
+  // -1 is checked before any unsigned cast could wrap it.
+  EXPECT_EQ(flags.get_int_in("n", 0, 1, 10, &error), 1);
+  EXPECT_EQ(error, "--n must be in [1, 10]");
+  EXPECT_EQ(flags.get_int_in("k", 0, 0, 10, &error), 10);
+  EXPECT_EQ(error, "--n must be in [1, 10]");  // the first error stays
+}
+
 }  // namespace
 }  // namespace lrb

@@ -1,7 +1,9 @@
 // Unit tests for the streaming-session subsystem (src/stream/,
 // docs/streaming.md): ClusterSession state tracking, delta rejection
-// semantics, trigger evaluation, the serial replay reference, the
-// .lrbd delta-log format, and the incrementally maintained state digest.
+// semantics, trigger evaluation, the random trace generator and the
+// dynamic setting it drives (Graham placement, bounded rebalancing), the
+// serial replay reference, the .lrbd delta-log format, and the
+// incrementally maintained state digest.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +17,10 @@
 
 #include "core/generators.h"
 #include "core/instance.h"
-#include "online/trace.h"
 #include "stream/delta_log.h"
 #include "stream/replay.h"
 #include "stream/session.h"
+#include "stream/trace.h"
 #include "util/rng.h"
 
 #ifndef LRB_CORPUS_DIR
@@ -65,6 +67,47 @@ StepResult must_reject(ClusterSession& session, const Delta& delta,
   EXPECT_FALSE(result.applied);
   EXPECT_FALSE(result.error.empty());
   return result;
+}
+
+Delta job_delta(DeltaKind kind, std::uint64_t id, Size size = 0,
+                std::uint64_t proc = kAutoPlace, Cost move_cost = 1) {
+  Delta delta;
+  delta.kind = kind;
+  delta.id = id;
+  delta.size = size;
+  delta.move_cost = move_cost;
+  delta.proc = proc;
+  return delta;
+}
+
+Delta proc_delta(DeltaKind kind, std::uint64_t id) {
+  Delta delta;
+  delta.kind = kind;
+  delta.id = id;
+  return delta;
+}
+
+void apply_all(ClusterSession& session, const std::vector<Delta>& deltas) {
+  std::uint64_t seq = 0;
+  for (const Delta& delta : deltas) must_apply(session, delta, ++seq);
+}
+
+/// An m-processor cluster with no jobs: where the dynamic setting starts.
+Instance empty_cluster(ProcId m) {
+  Instance cluster;
+  cluster.num_procs = m;
+  return cluster;
+}
+
+/// Per-processor loads, indexed by processor slot (equal to the processor
+/// id while no processor has been removed).
+std::vector<Size> loads_of(const ClusterSession& session) {
+  const Instance live = session.snapshot();
+  std::vector<Size> loads(live.num_procs, 0);
+  for (std::size_t j = 0; j < live.num_jobs(); ++j) {
+    loads[live.initial[j]] += live.sizes[j];
+  }
+  return loads;
 }
 
 TEST(StreamSession, OpenMirrorsTheInitialInstance) {
@@ -324,19 +367,188 @@ TEST(StreamTriggers, ValidateTriggerCatchesBadConfigs) {
 }
 
 // ---------------------------------------------------------------------------
+// The random trace generator (stream/trace.h).
+// ---------------------------------------------------------------------------
+
+TEST(Trace, WellFormedAcrossSeeds) {
+  // Well formed = every delta applies: no departure names a job that has
+  // not arrived or has already left, and no arrival reuses a live id.
+  TraceOptions opt;
+  opt.num_events = 500;
+  opt.departure_fraction = 0.45;
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    const auto trace = random_trace(opt, seed);
+    EXPECT_EQ(trace.size(), 500u);
+    ClusterSession session = must_open(empty_cluster(4), quiet_trigger());
+    std::uint64_t seq = 0;
+    for (const Delta& delta : trace) must_apply(session, delta, ++seq);
+    EXPECT_EQ(session.stats().deltas_rejected, 0u) << "seed=" << seed;
+  }
+}
+
+TEST(Trace, DeterministicInSeed) {
+  TraceOptions opt;
+  const auto a = random_trace(opt, 7);
+  const auto b = random_trace(opt, 7);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].kind, b[i].kind);
+    EXPECT_EQ(a[i].id, b[i].id);
+    EXPECT_EQ(a[i].size, b[i].size);
+    EXPECT_EQ(a[i].move_cost, b[i].move_cost);
+  }
+}
+
+TEST(Trace, ZeroDepartureFractionIsAllArrivals) {
+  TraceOptions opt;
+  opt.num_events = 100;
+  opt.departure_fraction = 0.0;
+  const auto trace = random_trace(opt, 3);
+  for (const Delta& delta : trace) {
+    EXPECT_EQ(delta.kind, DeltaKind::kJobArrive);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The dynamic setting on a session: Graham placement and bounded
+// rebalancing (experiment E16, bench/bench_online.cpp).
+// ---------------------------------------------------------------------------
+
+TEST(Scheduler, GrahamPlacementOnArrival) {
+  // Graham's rule from an empty 3-processor cluster, ties to the lowest
+  // id: 5 -> P0 (all empty), 3 -> P1 (P1 and P2 empty), 2 -> P2, and
+  // 1 -> P2 (2 < 3 < 5).
+  ClusterSession session = must_open(empty_cluster(3), quiet_trigger());
+  std::uint64_t seq = 0;
+  for (const Size size : {5, 3, 2, 1}) {
+    must_apply(session, job_delta(DeltaKind::kJobArrive, seq, size), seq + 1);
+    ++seq;
+  }
+  EXPECT_EQ(loads_of(session), (std::vector<Size>{5, 3, 3}));
+  EXPECT_EQ(session.makespan(), 5);
+  EXPECT_EQ(session.num_jobs(), 4u);
+}
+
+TEST(Scheduler, SnapshotReflectsAliveJobsOnly) {
+  ClusterSession session = must_open(empty_cluster(2), quiet_trigger());
+  must_apply(session, job_delta(DeltaKind::kJobArrive, 0, 7, kAutoPlace, 3),
+             1);
+  must_apply(session, job_delta(DeltaKind::kJobArrive, 1, 5, kAutoPlace, 2),
+             2);
+  must_apply(session, job_delta(DeltaKind::kJobDepart, 0), 3);
+  const Instance snap = session.snapshot();
+  ASSERT_EQ(snap.num_jobs(), 1u);
+  EXPECT_EQ(snap.sizes[0], 5);
+  EXPECT_EQ(snap.move_costs[0], 2);
+  EXPECT_EQ(snap.initial[0], 1u);
+}
+
+TEST(Scheduler, PureArrivalsStayWithinGrahamBound) {
+  // Without departures, list scheduling is (2 - 1/m)-competitive against
+  // the session's lower bound.
+  TraceOptions opt;
+  opt.num_events = 300;
+  opt.departure_fraction = 0.0;
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    ClusterSession session = must_open(empty_cluster(5), quiet_trigger());
+    std::uint64_t seq = 0;
+    for (const Delta& delta : random_trace(opt, seed)) {
+      must_apply(session, delta, ++seq);
+      const double bound =
+          (2.0 - 1.0 / 5.0) * static_cast<double>(session.lower_bound());
+      EXPECT_LE(static_cast<double>(session.makespan()), bound + 1e-9);
+    }
+  }
+}
+
+TEST(Scheduler, DeparturesErodeBalanceRebalancingRestoresIt) {
+  // With biased departures, the never-rebalanced run drifts away from the
+  // lower bound; M-PARTITION with a budget of 4 moves every 25 deltas
+  // keeps the MEAN tracking ratio strictly better across seeds.
+  TraceOptions opt;
+  opt.num_events = 600;
+  opt.departure_fraction = 0.45;
+  opt.bias_large_departures = true;
+  TriggerConfig managed_config = quiet_trigger();
+  managed_config.spec = solver::BackendId::kMPartition;
+  managed_config.delta_count = 25;
+  managed_config.move_budget = 4;
+  double managed_mean_total = 0, unmanaged_mean_total = 0;
+  for (std::uint64_t seed = 0; seed < 5; ++seed) {
+    ClusterSession managed = must_open(empty_cluster(6), managed_config);
+    ClusterSession unmanaged = must_open(empty_cluster(6), quiet_trigger());
+    double managed_sum = 0, unmanaged_sum = 0;
+    std::size_t samples = 0;
+    std::uint64_t seq = 0;
+    for (const Delta& delta : random_trace(opt, seed)) {
+      ++seq;
+      for (const SessionPlan& plan :
+           must_apply(managed, delta, seq).plans) {
+        EXPECT_LE(plan.moves.size(), 4u);
+      }
+      EXPECT_TRUE(must_apply(unmanaged, delta, seq).plans.empty());
+      if (managed.num_jobs() > 0) {
+        managed_sum += static_cast<double>(managed.makespan()) /
+                       static_cast<double>(managed.lower_bound());
+        unmanaged_sum += static_cast<double>(unmanaged.makespan()) /
+                         static_cast<double>(unmanaged.lower_bound());
+        ++samples;
+      }
+    }
+    EXPECT_EQ(managed.stats().plans_emitted, 600u / 25u);
+    ASSERT_GT(samples, 0u);
+    managed_mean_total += managed_sum / static_cast<double>(samples);
+    unmanaged_mean_total += unmanaged_sum / static_cast<double>(samples);
+  }
+  EXPECT_LT(managed_mean_total, unmanaged_mean_total);
+}
+
+TEST(Scheduler, RebalanceAppliesAssignmentAndCountsMoves) {
+  // Departures empty P1 and P2 while two pinned arrivals pile onto P0:
+  // loads {27, 0, 0}. A replan with k = 2 moves at most two jobs, and the
+  // session applies exactly the plan it reports.
+  TriggerConfig config = quiet_trigger();
+  config.spec = solver::BackendId::kMPartition;
+  config.move_budget = 2;
+  ClusterSession session = must_open(empty_cluster(3), config);
+  apply_all(session, {
+                         job_delta(DeltaKind::kJobArrive, 0, 9),
+                         job_delta(DeltaKind::kJobArrive, 1, 8),
+                         job_delta(DeltaKind::kJobArrive, 2, 7),
+                         job_delta(DeltaKind::kJobDepart, 1),
+                         job_delta(DeltaKind::kJobDepart, 2),
+                         job_delta(DeltaKind::kJobArrive, 3, 9, 0),
+                         job_delta(DeltaKind::kJobArrive, 4, 9, 0),
+                     });
+  EXPECT_EQ(loads_of(session), (std::vector<Size>{27, 0, 0}));
+  const Size before = session.makespan();
+  Delta replan;
+  replan.kind = DeltaKind::kReplan;
+  const StepResult result = must_apply(session, replan, 8);
+  ASSERT_EQ(result.plans.size(), 1u);
+  const SessionPlan& plan = result.plans.front();
+  EXPECT_LE(plan.moves.size(), 2u);
+  EXPECT_EQ(plan.makespan_before, before);
+  EXPECT_LT(session.makespan(), before);
+  EXPECT_EQ(session.makespan(), plan.makespan_after);
+  EXPECT_EQ(session.stats().moves_total, plan.moves.size());
+}
+
+// ---------------------------------------------------------------------------
 // The serial replay reference.
 // ---------------------------------------------------------------------------
 
 DeltaLog sample_log(std::uint64_t seed, std::size_t events) {
-  TriggerConfig trigger;
-  trigger.spec = solver::BackendId::kBestOf;
-  trigger.imbalance_ratio = 1.5;
-  trigger.delta_count = 16;
-  online::TraceOptions options;
+  DeltaLog log;
+  log.initial = mixed_corpus_instance(0, seed);
+  log.trigger.spec = solver::BackendId::kBestOf;
+  log.trigger.imbalance_ratio = 1.5;
+  log.trigger.delta_count = 16;
+  TraceOptions options;
   options.num_events = events;
   options.departure_fraction = 0.4;
-  return delta_log_from_trace(mixed_corpus_instance(0, seed),
-                              online::random_trace(options, seed), trigger);
+  log.deltas = random_trace(options, seed, log.initial.num_jobs());
+  return log;
 }
 
 TEST(StreamReplay, IsDeterministicAcrossRuns) {
@@ -426,27 +638,31 @@ TEST(StreamDeltaLog, RoundTripsThroughText) {
 }
 
 TEST(StreamDeltaLog, FromTraceAssignsStableJobIds) {
+  // Generated after an initial instance, arrival j gets stable id
+  // initial.num_jobs() + j, and every departure names a live arrival.
   const Instance initial = small_instance();
-  online::TraceOptions options;
+  TraceOptions options;
   options.num_events = 40;
   options.departure_fraction = 0.5;
-  const auto events = online::random_trace(options, 5);
-  const DeltaLog log =
-      delta_log_from_trace(initial, events, quiet_trigger());
-  ASSERT_EQ(log.deltas.size(), events.size());
+  const auto deltas = random_trace(options, 5, initial.num_jobs());
+  ASSERT_EQ(deltas.size(), 40u);
+  std::vector<std::uint64_t> alive;
   std::size_t arrivals = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (log.deltas[i].kind == DeltaKind::kJobArrive) {
-      // Arrival j gets stable id initial.num_jobs() + j.
-      EXPECT_EQ(log.deltas[i].id, initial.num_jobs() + arrivals);
-      EXPECT_EQ(log.deltas[i].proc, kAutoPlace);
+  for (const Delta& delta : deltas) {
+    if (delta.kind == DeltaKind::kJobArrive) {
+      EXPECT_EQ(delta.id, initial.num_jobs() + arrivals);
+      EXPECT_EQ(delta.proc, kAutoPlace);
+      alive.push_back(delta.id);
       ++arrivals;
     } else {
-      EXPECT_EQ(log.deltas[i].kind, DeltaKind::kJobDepart);
-      EXPECT_GE(log.deltas[i].id, initial.num_jobs());
+      ASSERT_EQ(delta.kind, DeltaKind::kJobDepart);
+      const auto it = std::find(alive.begin(), alive.end(), delta.id);
+      ASSERT_NE(it, alive.end()) << "departure of job " << delta.id;
+      alive.erase(it);
     }
   }
   EXPECT_GT(arrivals, 0u);
+  EXPECT_LT(arrivals, deltas.size());
 }
 
 TEST(StreamDeltaLog, RejectsMalformedText) {
@@ -466,29 +682,6 @@ TEST(StreamDeltaLog, RejectsMalformedText) {
 // The state digest: a function of the state alone, sensitive to every
 // field, and maintained incrementally without drifting from a rebuild.
 // ---------------------------------------------------------------------------
-
-Delta job_delta(DeltaKind kind, std::uint64_t id, Size size = 0,
-                std::uint64_t proc = kAutoPlace, Cost move_cost = 1) {
-  Delta delta;
-  delta.kind = kind;
-  delta.id = id;
-  delta.size = size;
-  delta.move_cost = move_cost;
-  delta.proc = proc;
-  return delta;
-}
-
-Delta proc_delta(DeltaKind kind, std::uint64_t id) {
-  Delta delta;
-  delta.kind = kind;
-  delta.id = id;
-  return delta;
-}
-
-void apply_all(ClusterSession& session, const std::vector<Delta>& deltas) {
-  std::uint64_t seq = 0;
-  for (const Delta& delta : deltas) must_apply(session, delta, ++seq);
-}
 
 TEST(StreamDigest, IsIndependentOfHistory) {
   // Both orders end with processors {0, 1, 5} and jobs {1, 2, 3, 10, 11}

@@ -18,8 +18,8 @@
 
 #include "core/generators.h"
 #include "obs/metrics.h"
-#include "online/trace.h"
 #include "stream/delta_log.h"
+#include "stream/trace.h"
 #include "svc/server.h"
 #include "svc/session_client.h"
 #include "svc/wire.h"
@@ -76,16 +76,16 @@ class StreamServer {
 };
 
 stream::DeltaLog sample_log(std::uint64_t seed, std::size_t events) {
-  stream::TriggerConfig trigger;
-  trigger.spec = solver::BackendId::kBestOf;
-  trigger.imbalance_ratio = 1.5;
-  trigger.delta_count = 12;
-  online::TraceOptions options;
+  stream::DeltaLog log;
+  log.initial = mixed_corpus_instance(0, seed);
+  log.trigger.spec = solver::BackendId::kBestOf;
+  log.trigger.imbalance_ratio = 1.5;
+  log.trigger.delta_count = 12;
+  stream::TraceOptions options;
   options.num_events = events;
   options.departure_fraction = 0.4;
-  return stream::delta_log_from_trace(
-      mixed_corpus_instance(0, seed), online::random_trace(options, seed),
-      trigger);
+  log.deltas = stream::random_trace(options, seed, log.initial.num_jobs());
+  return log;
 }
 
 /// Raw call helper: sends one session frame and returns the reply.

@@ -59,7 +59,10 @@
 //   --json FILE            write a lrb-svc-bench-v1 report
 //   --version              print version/schema info and exit
 //
-// Exit status is non-zero on transport errors, any --check mismatch, or a
+// Exit status is 2 for an out-of-range flag value (--connections in
+// [1, 1024]; --requests, --repeat, --deadline-ms, --reconnect-every >= 0;
+// --pipeline, --frame >= 1; --rate >= 0), checked before any thread
+// starts. It is 1 on transport errors, any --check mismatch, or a
 // missed --min-throughput gate. Shed replies (Overloaded/DeadlineExceeded)
 // are counted and reported but are not failures: they are the server's
 // backpressure working as designed.
@@ -70,6 +73,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -119,9 +123,18 @@ struct WorkerStats {
   std::vector<std::string> messages;  ///< first few failure details
 };
 
+// Each connection is an OS thread.
+constexpr std::int64_t kMaxConnections = 1024;
+
 int fail(const std::string& message) {
   std::cerr << "lrb_load: " << message << "\n";
   return 1;
+}
+
+/// An unusable flag value: diagnosed before any thread starts, exit 2.
+int bad_flag(const std::string& message) {
+  std::cerr << "lrb_load: " << message << "\n";
+  return 2;
 }
 
 void note(WorkerStats& stats, std::string message) {
@@ -405,22 +418,33 @@ int main(int argc, char** argv) {
   } else {
     config.endpoint = svc::Endpoint::unix_socket(unix_path);
   }
-  config.connections = static_cast<std::size_t>(flags.get_int(
-      "connections", static_cast<std::int64_t>(config.connections)));
-  config.requests = static_cast<std::size_t>(
-      flags.get_int("requests", static_cast<std::int64_t>(config.requests)));
+  // Counts are range-checked before their unsigned casts, so "--connections
+  // -1" cannot wrap to ~2^64 threads; the first bad flag is reported once
+  // everything is read.
+  std::string flag_error;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  config.connections = static_cast<std::size_t>(flags.get_int_in(
+      "connections", static_cast<std::int64_t>(config.connections), 1,
+      kMaxConnections, &flag_error));
+  config.requests = static_cast<std::size_t>(flags.get_int_in(
+      "requests", static_cast<std::int64_t>(config.requests), 0, kMax,
+      &flag_error));
   config.duration_s = flags.get_double("duration-s", 0.0);
   config.rate = flags.get_double("rate", 0.0);
   config.k_frac = flags.get_double("k-frac", 0.25);
-  config.deadline_ms =
-      static_cast<std::uint32_t>(flags.get_int("deadline-ms", 0));
+  config.deadline_ms = static_cast<std::uint32_t>(flags.get_int_in(
+      "deadline-ms", 0, 0, std::numeric_limits<std::uint32_t>::max(),
+      &flag_error));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::int64_t repeat = flags.get_int("repeat", 0);
-  if (repeat < 0) return fail("--repeat must be >= 0");
-  config.repeat = static_cast<std::size_t>(repeat);
-  const std::int64_t pipeline = flags.get_int("pipeline", 1);
-  if (pipeline < 1) return fail("--pipeline must be >= 1");
-  config.pipeline = static_cast<std::size_t>(pipeline);
+  config.repeat = static_cast<std::size_t>(
+      flags.get_int_in("repeat", 0, 0, kMax, &flag_error));
+  config.pipeline = static_cast<std::size_t>(
+      flags.get_int_in("pipeline", 1, 1, kMax, &flag_error));
+  const std::size_t frame = static_cast<std::size_t>(
+      flags.get_int_in("frame", 16, 1, kMax, &flag_error));
+  const std::size_t reconnect_every = static_cast<std::size_t>(
+      flags.get_int_in("reconnect-every", 0, 0, kMax, &flag_error));
+  if (!flag_error.empty()) return bad_flag(flag_error);
   config.check = flags.has("check");
   config.cache = flags.has("cache");
   const double min_throughput = flags.get_double("min-throughput", 0.0);
@@ -429,8 +453,7 @@ int main(int argc, char** argv) {
     return fail("unknown --algo '" + algo_text + "' (want " +
                 solver::backend_list() + ")");
   }
-  if (config.connections < 1) return fail("--connections must be >= 1");
-  if (config.rate < 0.0) return fail("--rate must be >= 0");
+  if (!(config.rate >= 0.0)) return bad_flag("--rate must be >= 0");
   if (config.pipeline > 1 && config.rate > 0.0) {
     return fail("--pipeline needs the closed loop (--rate 0)");
   }
@@ -439,11 +462,6 @@ int main(int argc, char** argv) {
   // path, one concurrent session per connection (distinct session ids over
   // the same transcript, so the determinism check covers concurrency too).
   if (const auto trace_path = flags.get("trace")) {
-    const std::size_t frame =
-        static_cast<std::size_t>(flags.get_int("frame", 16));
-    const std::size_t reconnect_every =
-        static_cast<std::size_t>(flags.get_int("reconnect-every", 0));
-    if (frame < 1) return fail("--frame must be >= 1");
     std::ifstream in(*trace_path);
     if (!in) return fail("cannot read '" + *trace_path + "'");
     std::string log_error;

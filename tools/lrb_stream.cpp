@@ -1,10 +1,10 @@
 // lrb_stream: driver and determinism checker for streaming rebalance
 // sessions (wire v2, docs/streaming.md).
 //
-// By default it spins up an IN-PROCESS multi-reactor server, converts
-// seeded online traces (src/online/trace) into delta logs, streams them as
-// concurrent sessions, and — with --check — byte-compares every server ack
-// (open, each delta frame, stats, close) against the serial replay
+// By default it spins up an IN-PROCESS multi-reactor server, generates
+// seeded arrival/departure traces (stream/trace.h) as delta logs, streams
+// them as concurrent sessions, and — with --check — byte-compares every
+// server ack (open, each delta frame, stats, close) against the serial replay
 // reference (stream::replay_serial_reference's solver on a mirrored
 // session). --reconnect-every forces mid-session reconnects, so frames
 // land on reactors that do not own the session and the cross-reactor
@@ -43,13 +43,17 @@
 //                          reconnect every 3 frames (flags still override)
 //   --version              print version/schema info and exit
 //
-// Exit status is non-zero on transport give-up, any rejected lifecycle
-// call, or any --check mismatch.
+// Exit status is 2 for an out-of-range flag value (--sessions, --reactors,
+// --engine-workers and --workers up to 1024; --deltas, --frame and
+// --reconnect-every up to 10^8; --every below 2^32; --cache-mb up to 2^20;
+// --depart-frac in [0, 1]), checked before anything starts, and 1 on
+// transport give-up, any rejected lifecycle call, or any --check mismatch.
 
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -58,10 +62,10 @@
 #include <unistd.h>
 
 #include "core/generators.h"
-#include "online/trace.h"
 #include "solver/registry.h"
 #include "stream/delta_log.h"
 #include "stream/replay.h"
+#include "stream/trace.h"
 #include "svc/server.h"
 #include "svc/session_client.h"
 #include "util/flags.h"
@@ -69,9 +73,20 @@
 
 namespace {
 
+// Upper bounds for the count flags: each session (and each server thread)
+// is an OS thread, and each session's delta log is held in memory.
+constexpr std::int64_t kMaxThreads = 1024;
+constexpr std::int64_t kMaxDeltas = 100'000'000;
+
 int fail(const std::string& message) {
   std::cerr << "lrb_stream: " << message << "\n";
   return 1;
+}
+
+/// An unusable flag value: diagnosed before anything starts, exit 2.
+int bad_flag(const std::string& message) {
+  std::cerr << "lrb_stream: " << message << "\n";
+  return 2;
 }
 
 }  // namespace
@@ -97,20 +112,22 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Counts are range-checked before their unsigned casts; the first bad
+  // flag is reported once everything is read.
+  std::string flag_error;
   const bool smoke = flags.has("smoke");
-  std::size_t sessions = static_cast<std::size_t>(
-      flags.get_int("sessions", smoke ? 2 : 4));
-  const std::size_t deltas = static_cast<std::size_t>(
-      flags.get_int("deltas", smoke ? 60 : 200));
-  const std::size_t frame = static_cast<std::size_t>(
-      flags.get_int("frame", smoke ? 7 : 16));
+  std::size_t sessions = static_cast<std::size_t>(flags.get_int_in(
+      "sessions", smoke ? 2 : 4, 1, kMaxThreads, &flag_error));
+  const std::size_t deltas = static_cast<std::size_t>(flags.get_int_in(
+      "deltas", smoke ? 60 : 200, 0, kMaxDeltas, &flag_error));
+  const std::size_t frame = static_cast<std::size_t>(flags.get_int_in(
+      "frame", smoke ? 7 : 16, 1, kMaxDeltas, &flag_error));
   const std::size_t reconnect_every = static_cast<std::size_t>(
-      flags.get_int("reconnect-every", smoke ? 3 : 0));
+      flags.get_int_in("reconnect-every", smoke ? 3 : 0, 0, kMaxDeltas,
+                       &flag_error));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const bool check = flags.has("check");
-  if (sessions < 1) return fail("--sessions must be >= 1");
-  if (frame < 1) return fail("--frame must be >= 1");
 
   stream::TriggerConfig trigger;
   const std::string algo_text = flags.get_or("algo", "best-of");
@@ -120,21 +137,37 @@ int main(int argc, char** argv) {
   }
   trigger.move_frac = flags.get_double("move-frac", 0.25);
   trigger.imbalance_ratio = flags.get_double("imbalance", 1.5);
-  trigger.delta_count =
-      static_cast<std::uint32_t>(flags.get_int("every", 32));
+  trigger.delta_count = static_cast<std::uint32_t>(flags.get_int_in(
+      "every", 32, 0, std::numeric_limits<std::uint32_t>::max(),
+      &flag_error));
+  const double depart_frac = flags.get_double("depart-frac", 0.4);
+  if (!(depart_frac >= 0.0 && depart_frac <= 1.0) && flag_error.empty()) {
+    flag_error = "--depart-frac must be in [0, 1]";
+  }
+  const std::int64_t reactors =
+      flags.get_int_in("reactors", 2, 1, kMaxThreads, &flag_error);
+  const std::int64_t engine_workers =
+      flags.get_int_in("engine-workers", 2, 1, kMaxThreads, &flag_error);
+  const std::int64_t workers =
+      flags.get_int_in("workers", 0, 0, kMaxThreads, &flag_error);
+  const std::int64_t cache_mb =
+      flags.get_int_in("cache-mb", 0, 0, 1 << 20, &flag_error);
+  if (!flag_error.empty()) return bad_flag(flag_error);
   if (const auto invalid = stream::validate_trigger(trigger)) {
     return fail("invalid trigger: " + *invalid);
   }
-  const double depart_frac = flags.get_double("depart-frac", 0.4);
 
   // One deterministic delta log per session index.
   const auto make_log = [&](std::size_t index) {
-    online::TraceOptions trace_options;
+    stream::DeltaLog log;
+    log.initial = mixed_corpus_instance(index, seed);
+    log.trigger = trigger;
+    stream::TraceOptions trace_options;
     trace_options.num_events = deltas;
     trace_options.departure_fraction = depart_frac;
-    const auto events = online::random_trace(trace_options, seed + index);
-    return stream::delta_log_from_trace(
-        mixed_corpus_instance(index, seed), events, trigger);
+    log.deltas = stream::random_trace(trace_options, seed + index,
+                                      log.initial.num_jobs());
+    return log;
   };
 
   if (const auto path = flags.get("record")) {
@@ -182,14 +215,10 @@ int main(int argc, char** argv) {
     std::ostringstream path;
     path << "/tmp/lrb_stream." << getpid() << ".sock";
     options.unix_path = path.str();
-    options.reactors =
-        static_cast<std::size_t>(flags.get_int("reactors", 2));
-    options.engine_workers =
-        static_cast<std::size_t>(flags.get_int("engine-workers", 2));
-    options.engine.workers =
-        static_cast<std::size_t>(flags.get_int("workers", 0));
-    options.cache_bytes =
-        static_cast<std::size_t>(flags.get_int("cache-mb", 0)) << 20;
+    options.reactors = static_cast<std::size_t>(reactors);
+    options.engine_workers = static_cast<std::size_t>(engine_workers);
+    options.engine.workers = static_cast<std::size_t>(workers);
+    options.cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
     cached = options.cache_bytes > 0;
     server = std::make_unique<svc::Server>(std::move(options));
     std::string error;

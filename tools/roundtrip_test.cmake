@@ -105,3 +105,39 @@ endif()
 if(NOT solve_err MATCHES "bad job line")
   message(FATAL_ERROR "lrb_solve gave no job-line diagnostic: ${solve_err}")
 endif()
+
+# Count flags are range-checked on the signed value, before the unsigned
+# cast: "lrb_stream --deltas -1" used to wrap to ~2^64 and abort in the
+# allocator, and "lrb_load --connections -1" passed its ">= 1" check and
+# started one thread per connection. Each bad value must exit 2 and name
+# its flag. The lrb_stream cases carry --record and the lrb_load cases a
+# missing --trace file, so a build that accepts the flag fails the check
+# without starting a server or a connection.
+foreach(bad sessions=-1 sessions=5000 deltas=-1 frame=-1 frame=0
+        reconnect-every=-1 every=-1 every=4294967296 depart-frac=7
+        depart-frac=-0.5 depart-frac=nan reactors=-1 engine-workers=0
+        workers=-1 cache-mb=-1)
+  string(REGEX REPLACE "=.*" "" flag "${bad}")
+  execute_process(
+    COMMAND ${LRB_STREAM} --${bad} --record ${WORK_DIR}/rejected.lrbd
+    RESULT_VARIABLE rc ERROR_VARIABLE stream_err OUTPUT_QUIET)
+  if(NOT rc EQUAL 2 OR NOT stream_err MATCHES "--${flag} must be")
+    message(FATAL_ERROR
+      "lrb_stream --${bad}: want exit 2 naming --${flag}, got ${rc}: "
+      "${stream_err}")
+  endif()
+endforeach()
+foreach(bad connections=-1 connections=0 connections=5000 requests=-1
+        deadline-ms=-1 repeat=-1 pipeline=0 frame=-1 reconnect-every=-1
+        rate=-1)
+  string(REGEX REPLACE "=.*" "" flag "${bad}")
+  execute_process(
+    COMMAND ${LRB_LOAD} --unix ${WORK_DIR}/no_server.sock --${bad}
+            --trace ${WORK_DIR}/no_such_log.lrbd
+    RESULT_VARIABLE rc ERROR_VARIABLE load_err OUTPUT_QUIET)
+  if(NOT rc EQUAL 2 OR NOT load_err MATCHES "--${flag} must be")
+    message(FATAL_ERROR
+      "lrb_load --${bad}: want exit 2 naming --${flag}, got ${rc}: "
+      "${load_err}")
+  endif()
+endforeach()
