@@ -3,7 +3,7 @@
 // in shuffled order, solved in tick-sized batches — through two otherwise
 // identical BatchSolvers, one with the cache off and one with it on.
 //
-// Two profiles:
+// Three profiles:
 //
 //   * "ptas": U unique PTAS requests (the multi-millisecond DP solver the
 //     cache exists for). This is the gated profile: --min-speedup applies
@@ -11,17 +11,21 @@
 //   * "best-of": the mixed serving corpus under the default best-of
 //     roster, whose solves are only microseconds. Reported for honesty —
 //     canonicalize+probe+map overhead is the same order as the solve
-//     itself there, so the cache roughly breaks even; it is not gated.
+//     itself there; it is not gated.
+//   * "unique": the same corpus with R = 1 and a fresh instance set every
+//     pass, so every request is a first sighting: what caching costs on
+//     unique traffic that admission keeps out of the LRU. Not gated.
 //
 // Cached numbers are the warm steady state (min over reps after a cold
 // first pass, reported separately); the interleaved min-over-reps
 // protocol mirrors bench_ptas so scheduler noise on a shared runner
 // degrades both sides of the ratio together. Every unique instance's
 // cached reply is byte-compared against engine::cached_serial_reference
-// before any number is reported: a fast wrong cache must fail the bench,
-// not win it.
+// on three consecutive sightings (for the unique profile: deferred,
+// admitting miss, hit) before any number is reported: a fast wrong cache
+// must fail the bench, not win it.
 //
-//   bench_cache                                  # both profiles to stdout
+//   bench_cache                                  # all profiles to stdout
 //   bench_cache --smoke                          # tiny run (ctest bench-smoke)
 //   bench_cache --json bench/BENCH_cache.json --min-speedup 5   # CI gate
 
@@ -31,9 +35,12 @@
 #include <iostream>
 #include <span>
 #include <string>
+#include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "bench_common.h"
+#include "cache/canonical.h"
 #include "core/generators.h"
 #include "engine/batch_solver.h"
 #include "obs/metrics.h"
@@ -53,8 +60,11 @@ struct Workload {
   solver::SolverSpec spec;
   std::size_t uniques = 0;
   std::size_t repeats = 0;
-  std::vector<Instance> instances;  // one per unique
-  std::vector<std::int64_t> ks;     // one move budget per unique
+  /// Instance sets of `uniques` each; pass p draws from set p % sets, so
+  /// with one set per pass every pass is fresh traffic.
+  std::size_t sets = 1;
+  std::vector<Instance> instances;  // sets * uniques
+  std::vector<std::int64_t> ks;     // one move budget per instance
   std::vector<std::size_t> order;   // uniques * repeats, shuffled
 };
 
@@ -107,16 +117,48 @@ Workload best_of_workload(std::size_t uniques, std::size_t repeats) {
   return w;
 }
 
-engine::BatchSolver::TickItem make_item(const Workload& w, std::size_t idx) {
+/// The unique-traffic profile: the serving corpus under best-of, R = 1,
+/// `sets` disjoint instance sets. Canonical duplicates (the corpus's
+/// unit-size families repeat forms across indices) are skipped, so no
+/// request anywhere in the run is a second sighting.
+Workload unique_workload(std::size_t uniques, std::size_t sets) {
+  Workload w;
+  w.name = "unique";
+  w.spec = solver::BackendId::kBestOf;
+  w.uniques = uniques;
+  w.repeats = 1;
+  w.sets = sets;
+  std::unordered_set<std::string> keys;
+  for (std::size_t index = 0; w.instances.size() < uniques * sets; ++index) {
+    Instance instance = mixed_corpus_instance(index, 0x0e1c);
+    const std::int64_t k = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(instance.num_jobs()) / 4);
+    const auto canon = cache::canonicalize(instance);
+    if (!keys.insert(cache::encode_cache_key(canon.instance, w.spec, k))
+             .second) {
+      continue;
+    }
+    w.instances.push_back(std::move(instance));
+    w.ks.push_back(k);
+  }
+  fill_order(w);
+  return w;
+}
+
+engine::BatchSolver::TickItem make_item(const Workload& w, std::size_t set,
+                                        std::size_t idx) {
+  const std::size_t at = (set % w.sets) * w.uniques + idx;
   engine::BatchSolver::TickItem item;
-  item.instance = &w.instances[idx];
-  item.k = w.ks[idx];
+  item.instance = &w.instances[at];
+  item.k = w.ks[at];
   item.spec = w.spec;
   return item;
 }
 
-/// One full pass over the workload in tick-sized batches; returns seconds.
-double run_pass(engine::BatchSolver& solver, const Workload& w) {
+/// One full pass over instance set `set` in tick-sized batches; returns
+/// seconds.
+double run_pass(engine::BatchSolver& solver, const Workload& w,
+                std::size_t set) {
   std::vector<engine::BatchSolver::TickItem> items;
   items.reserve(kTick);
   Timer timer;
@@ -124,7 +166,7 @@ double run_pass(engine::BatchSolver& solver, const Workload& w) {
     const std::size_t end = std::min(begin + kTick, w.order.size());
     items.clear();
     for (std::size_t pos = begin; pos < end; ++pos) {
-      items.push_back(make_item(w, w.order[pos]));
+      items.push_back(make_item(w, set, w.order[pos]));
     }
     const auto results = solver.solve_items(items);
     if (results.size() != items.size()) {
@@ -136,21 +178,27 @@ double run_pass(engine::BatchSolver& solver, const Workload& w) {
   return timer.seconds();
 }
 
-/// Every unique instance through the cache-enabled solver (now warm) vs
-/// the canonical-solve serial reference. Returns false on any field diff.
-bool verify_byte_identity(engine::BatchSolver& cached, const Workload& w) {
+/// Every unique instance of set `set` through the cache-enabled solver
+/// three times in a row (warm hits for the repeated profiles; deferred,
+/// admitting miss and hit for a fresh set) vs the canonical-solve serial
+/// reference. Returns false on any field diff.
+bool verify_byte_identity(engine::BatchSolver& cached, const Workload& w,
+                          std::size_t set) {
   bool ok = true;
   for (std::size_t i = 0; i < w.uniques; ++i) {
-    const RebalanceResult want = engine::cached_serial_reference(
-        w.spec, w.instances[i], w.ks[i]);
-    const engine::BatchSolver::TickItem item = make_item(w, i);
-    const auto got = cached.solve_items({&item, 1});
-    if (got.size() != 1 || got[0].assignment != want.assignment ||
-        got[0].makespan != want.makespan || got[0].moves != want.moves ||
-        got[0].cost != want.cost || got[0].threshold != want.threshold) {
-      std::cerr << "bench_cache: cached " << w.name << " reply for unique "
-                << i << " differs from cached_serial_reference\n";
-      ok = false;
+    const engine::BatchSolver::TickItem item = make_item(w, set, i);
+    const RebalanceResult want =
+        engine::cached_serial_reference(w.spec, *item.instance, item.k);
+    for (int sighting = 0; sighting < 3; ++sighting) {
+      const auto got = cached.solve_items({&item, 1});
+      if (got.size() != 1 || got[0].assignment != want.assignment ||
+          got[0].makespan != want.makespan || got[0].moves != want.moves ||
+          got[0].cost != want.cost || got[0].threshold != want.threshold) {
+        std::cerr << "bench_cache: cached " << w.name << " reply for unique "
+                  << i << " (sighting " << sighting + 1
+                  << ") differs from cached_serial_reference\n";
+        ok = false;
+      }
     }
   }
   return ok;
@@ -168,7 +216,9 @@ struct ProfileResult {
   double speedup_cold = 0.0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::uint64_t inserts = 0;
   std::uint64_t evictions = 0;
+  std::uint64_t admissions_deferred = 0;
   bool byte_identical = false;
 };
 
@@ -189,15 +239,17 @@ ProfileResult run_profile(const Workload& w, int reps) {
   // arenas and fills the cache. The cached side's first pass IS the cold
   // number — intra-tick dedup already applies there, which is part of the
   // repeated-instance serving path being measured.
-  (void)run_pass(uncached, w);
-  const double cold_seconds = run_pass(cached, w);
+  (void)run_pass(uncached, w, 0);
+  const double cold_seconds = run_pass(cached, w, 0);
 
   double uncached_best = 0.0;
   double cached_best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    // Interleaved so a load spike degrades both sides of the ratio.
-    const double u = run_pass(uncached, w);
-    const double c = run_pass(cached, w);
+    // Interleaved so a load spike degrades both sides of the ratio; both
+    // sides see the same instance set.
+    const auto set = static_cast<std::size_t>(rep) + 1;
+    const double u = run_pass(uncached, w, set);
+    const double c = run_pass(cached, w, set);
     if (rep == 0 || u < uncached_best) uncached_best = u;
     if (rep == 0 || c < cached_best) cached_best = c;
   }
@@ -212,10 +264,15 @@ ProfileResult run_profile(const Workload& w, int reps) {
   out.cached_best = cached_best;
   out.speedup_warm = cached_best > 0.0 ? uncached_best / cached_best : 0.0;
   out.speedup_cold = cold_seconds > 0.0 ? uncached_best / cold_seconds : 0.0;
+  // Counters cover the timed passes only, before the verification solves.
   out.hits = cached_registry.counter("cache.hits").value();
   out.misses = cached_registry.counter("cache.misses").value();
+  out.inserts = cached_registry.counter("cache.inserts").value();
   out.evictions = cached_registry.counter("cache.evictions").value();
-  out.byte_identical = verify_byte_identity(cached, w);
+  out.admissions_deferred =
+      cached_registry.counter("cache.admissions_deferred").value();
+  out.byte_identical =
+      verify_byte_identity(cached, w, static_cast<std::size_t>(reps) + 1);
   return out;
 }
 
@@ -232,7 +289,9 @@ void print_profile(const ProfileResult& p) {
             << requests / p.cached_best << " req/s)\n"
             << "  speedup: warm " << p.speedup_warm << "x, cold "
             << p.speedup_cold << "x;  cache " << p.hits << " hits / "
-            << p.misses << " misses / " << p.evictions << " evictions\n"
+            << p.misses << " misses / " << p.inserts << " inserts / "
+            << p.evictions << " evictions / " << p.admissions_deferred
+            << " deferred\n"
             << "  byte-identity vs cached_serial_reference: "
             << (p.byte_identical ? "OK" : "FAIL") << "\n";
 }
@@ -249,7 +308,9 @@ void emit_profile_json(std::ostream& json, const ProfileResult& p) {
        << "    \"cached_warm\": {\"best_seconds\": " << p.cached_best
        << ", \"requests_per_sec\": " << requests / p.cached_best << "},\n"
        << "    \"cache\": {\"hits\": " << p.hits << ", \"misses\": "
-       << p.misses << ", \"evictions\": " << p.evictions << "},\n"
+       << p.misses << ", \"inserts\": " << p.inserts
+       << ", \"evictions\": " << p.evictions
+       << ", \"admissions_deferred\": " << p.admissions_deferred << "},\n"
        << "    \"speedup_warm\": " << p.speedup_warm << ",\n"
        << "    \"speedup_cold\": " << p.speedup_cold << ",\n"
        << "    \"byte_identical\": " << (p.byte_identical ? "true" : "false")
@@ -266,11 +327,17 @@ int run_bench(const std::string& json_path, double min_speedup) {
       best_of_workload(smoke_cap<std::size_t>(12, 4),
                        smoke_cap<std::size_t>(16, 4)),
       reps);
+  // One instance set per pass: cold, the reps, and the verification set.
+  const ProfileResult unique = run_profile(
+      unique_workload(smoke_cap<std::size_t>(1024, 16),
+                      static_cast<std::size_t>(reps) + 2),
+      reps);
 
   std::cout << "solution-cache bench (eps=" << kPtasEps << " for ptas, "
             << reps << " reps, min of reps)\n";
   print_profile(ptas);
   print_profile(best_of);
+  print_profile(unique);
 
   if (!json_path.empty()) {
     std::ofstream json(json_path);
@@ -280,6 +347,9 @@ int run_bench(const std::string& json_path, double min_speedup) {
     }
     json << "{\n"
          << "  \"schema\": \"" << kCacheBenchSchema << "\",\n"
+         << "  \"hardware_concurrency\": "
+         << std::thread::hardware_concurrency() << ",\n"
+         << "  \"build_type\": \"" << build_type() << "\",\n"
          << "  \"tick\": " << kTick << ",\n"
          << "  \"reps\": " << reps << ",\n"
          << "  \"ptas_eps\": " << kPtasEps << ",\n"
@@ -287,10 +357,15 @@ int run_bench(const std::string& json_path, double min_speedup) {
     emit_profile_json(json, ptas);
     json << ",\n";
     emit_profile_json(json, best_of);
+    json << ",\n";
+    emit_profile_json(json, unique);
     json << "\n}\n";
   }
 
-  if (!ptas.byte_identical || !best_of.byte_identical) return 1;
+  if (!ptas.byte_identical || !best_of.byte_identical ||
+      !unique.byte_identical) {
+    return 1;
+  }
   if (min_speedup > 0.0 && ptas.speedup_warm < min_speedup) {
     std::cerr << "bench_cache: FAIL speedup " << ptas.speedup_warm
               << " < required " << min_speedup << "\n";

@@ -1,6 +1,7 @@
 #include "cache/canonical.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -15,6 +16,12 @@ constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+/// eps as encode_key_params writes it: raw bits, so 0.0 and -0.0 stay
+/// distinct as they do in the key bytes.
+std::uint64_t eps_bits(const solver::SolverParams& params) {
+  return std::bit_cast<std::uint64_t>(params.eps);
 }
 
 void append_u32(std::string& out, std::uint32_t v) {
@@ -141,6 +148,43 @@ Fingerprint fingerprint(std::string_view bytes) {
   fp.hi = mix64(h1 ^ h2);
   fp.lo = mix64(h2 + (h1 << 1) + 0x9e3779b97f4a7c15ULL);
   return fp;
+}
+
+std::uint64_t content_hash(const Instance& canonical,
+                           const solver::SolverSpec& spec, std::int64_t k) {
+  const solver::SolverParams params = solver::normalized_params(spec);
+  std::uint64_t h = mix64(solver::descriptor(spec.backend).wire_id ^
+                          0x2545f4914f6cdd1dULL);
+  h = mix64(h ^ static_cast<std::uint64_t>(params.budget));
+  h = mix64(h ^ eps_bits(params));
+  h = mix64(h ^ static_cast<std::uint64_t>(k));
+  h = mix64(h ^ (std::uint64_t{canonical.num_procs} << 32 |
+                 static_cast<std::uint32_t>(canonical.num_jobs())));
+  // Each job's term depends only on its own fields and position, so the
+  // loop carries nothing but an add and the mixes pipeline across jobs.
+  std::uint64_t sum = 0;
+  for (std::size_t j = 0; j < canonical.num_jobs(); ++j) {
+    const std::uint64_t salt = (j + 1) * 0x9e3779b97f4a7c15ULL;
+    sum += mix64(static_cast<std::uint64_t>(canonical.sizes[j]) ^ salt) ^
+           mix64((static_cast<std::uint64_t>(canonical.move_costs[j]) +
+                  canonical.initial[j] * 0xd6e8feb86659fd93ULL) ^
+                 std::rotl(salt, 29));
+  }
+  return mix64(h ^ sum);
+}
+
+bool same_cache_key(const Instance& a_canonical,
+                    const solver::SolverSpec& a_spec, std::int64_t a_k,
+                    const Instance& b_canonical,
+                    const solver::SolverSpec& b_spec, std::int64_t b_k) {
+  if (a_k != b_k || a_spec.backend != b_spec.backend) return false;
+  const solver::SolverParams a = solver::normalized_params(a_spec);
+  const solver::SolverParams b = solver::normalized_params(b_spec);
+  return a.budget == b.budget && eps_bits(a) == eps_bits(b) &&
+         a_canonical.num_procs == b_canonical.num_procs &&
+         a_canonical.sizes == b_canonical.sizes &&
+         a_canonical.move_costs == b_canonical.move_costs &&
+         a_canonical.initial == b_canonical.initial;
 }
 
 RebalanceResult map_to_original(const CanonicalInstance& canon,

@@ -20,6 +20,10 @@
 // solve parameters. The cache treats it as a shard/bucket key only: every
 // hit re-verifies the full key bytes, so even a 128-bit collision can never
 // serve a wrong or mis-permuted result.
+//
+// content_hash() is the cheap 64-bit hash the admission doorkeeper runs on
+// every request (SolutionCache::admit): it reads the canonical arrays
+// directly, so a first sighting never builds the key string.
 
 #pragma once
 
@@ -82,6 +86,24 @@ struct CanonicalInstance {
 /// 128-bit fingerprint of arbitrary bytes (two decorrelated 64-bit lanes,
 /// splitmix64-style finalization).
 [[nodiscard]] Fingerprint fingerprint(std::string_view bytes);
+
+/// 64-bit hash of exactly what encode_cache_key encodes, computed straight
+/// from the arrays: one independent mix per job, summed, so there is no
+/// key string and no serial mix chain over the jobs. Equal keys give equal
+/// hashes. Only admission reads it, so a collision can cost an extra solve
+/// but never a wrong reply.
+[[nodiscard]] std::uint64_t content_hash(const Instance& canonical,
+                                         const solver::SolverSpec& spec,
+                                         std::int64_t k);
+
+/// True iff encode_cache_key would give both inputs the same bytes,
+/// compared without building either string (the engine's batch dedup).
+[[nodiscard]] bool same_cache_key(const Instance& a_canonical,
+                                  const solver::SolverSpec& a_spec,
+                                  std::int64_t a_k,
+                                  const Instance& b_canonical,
+                                  const solver::SolverSpec& b_spec,
+                                  std::int64_t b_k);
 
 /// Maps a plan computed for the canonical instance back to the original
 /// labeling: assignment entries permute through the recorded job/processor

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <iterator>
 
 namespace lrb::cache {
 
@@ -15,6 +16,8 @@ SolutionCache::SolutionCache(CacheOptions options)
           options.metrics->counter("cache.single_flight_waits")),
       single_flight_bypass_(
           options.metrics->counter("cache.single_flight_bypass")),
+      admissions_deferred_(
+          options.metrics->counter("cache.admissions_deferred")),
       bytes_gauge_(options.metrics->gauge("cache.bytes")),
       entries_gauge_(options.metrics->gauge("cache.entries")) {
   const std::size_t shards =
@@ -25,6 +28,45 @@ SolutionCache::SolutionCache(CacheOptions options)
   }
   shard_mask_ = shards - 1;
   shard_capacity_ = std::max<std::size_t>(1, options.max_bytes / shards);
+  resident_.reserve(shards);
+  for (std::size_t i = 0; i < shards; ++i) {
+    resident_.push_back(std::make_unique<ResidentShard>());
+  }
+  const std::size_t buckets = std::bit_ceil(
+      std::max(kMinDoorkeeperBuckets,
+               options.max_bytes / (kBytesPerDoorkeeperWay * kDoorkeeperWays)));
+  doorkeeper_ =
+      std::make_unique<std::atomic<std::uint64_t>[]>(buckets * kDoorkeeperWays);
+  bucket_mask_ = buckets - 1;
+}
+
+bool SolutionCache::resident(std::uint64_t content_hash) {
+  ResidentShard& index = resident_for(content_hash);
+  std::lock_guard lock(index.mutex);
+  return index.count.contains(content_hash);
+}
+
+bool SolutionCache::admit(std::uint64_t content_hash) {
+  // Empty ways hold 0, so tags are forced odd. Every hash in a bucket has
+  // the same low bits, so the forced bit merges nothing within it.
+  const std::uint64_t tag = content_hash | 1;
+  std::atomic<std::uint64_t>* bucket =
+      &doorkeeper_[(content_hash & bucket_mask_) * kDoorkeeperWays];
+  std::uint64_t ways[kDoorkeeperWays];
+  for (std::size_t w = 0; w < kDoorkeeperWays; ++w) {
+    ways[w] = bucket[w].load(std::memory_order_relaxed);
+    if (ways[w] == tag) return true;
+  }
+  if (resident(content_hash)) return true;
+  // First in, first out: the newest sighting takes way 0 and the oldest
+  // drops off the end. Racing writers may lose or duplicate a tag, which
+  // only costs an extra solve.
+  for (std::size_t w = kDoorkeeperWays - 1; w > 0; --w) {
+    bucket[w].store(ways[w - 1], std::memory_order_relaxed);
+  }
+  bucket[0].store(tag, std::memory_order_relaxed);
+  admissions_deferred_.add(1);
+  return false;
 }
 
 std::size_t SolutionCache::entry_bytes(std::size_t key_size,
@@ -37,36 +79,49 @@ std::size_t SolutionCache::entry_bytes(std::size_t key_size,
   return key_size + num_jobs * sizeof(ProcId) + kBookkeeping;
 }
 
+void SolutionCache::erase_locked(Shard& shard, LruList::iterator it) {
+  if (it->content_hash.has_value()) {
+    ResidentShard& index = resident_for(*it->content_hash);
+    std::lock_guard lock(index.mutex);
+    const auto found = index.count.find(*it->content_hash);
+    assert(found != index.count.end());
+    if (--found->second == 0) index.count.erase(found);
+  }
+  shard.bytes -= it->bytes;
+  bytes_gauge_.add(-static_cast<std::int64_t>(it->bytes));
+  entries_gauge_.add(-1);
+  shard.map.erase(it->fp);
+  shard.lru.erase(it);
+}
+
 void SolutionCache::insert_locked(Shard& shard, const Fingerprint& fp,
                                   std::string_view key,
-                                  const RebalanceResult& result) {
+                                  const RebalanceResult& result,
+                                  std::optional<std::uint64_t> content_hash) {
   const std::size_t cost = entry_bytes(key.size(), result.assignment.size());
   if (cost > shard_capacity_) return;  // would evict everything and not fit
 
   if (const auto it = shard.map.find(fp); it != shard.map.end()) {
     // Refresh (or, under fingerprint collision, overwrite) the entry.
-    shard.bytes -= it->second->bytes;
-    bytes_gauge_.add(-static_cast<std::int64_t>(it->second->bytes));
-    entries_gauge_.add(-1);
-    shard.lru.erase(it->second);
-    shard.map.erase(it);
+    erase_locked(shard, it->second);
   }
 
   while (shard.bytes + cost > shard_capacity_ && !shard.lru.empty()) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    bytes_gauge_.add(-static_cast<std::int64_t>(victim.bytes));
-    entries_gauge_.add(-1);
     evictions_.add(1);
-    shard.map.erase(victim.fp);
-    shard.lru.pop_back();
+    erase_locked(shard, std::prev(shard.lru.end()));
   }
 
+  if (content_hash.has_value()) {
+    ResidentShard& index = resident_for(*content_hash);
+    std::lock_guard lock(index.mutex);
+    ++index.count[*content_hash];
+  }
   Entry entry;
   entry.fp = fp;
   entry.key.assign(key.data(), key.size());
   entry.result = result;
   entry.bytes = cost;
+  entry.content_hash = content_hash;
   shard.lru.push_front(std::move(entry));
   shard.map[fp] = shard.lru.begin();
   shard.bytes += cost;
@@ -133,11 +188,12 @@ SolutionCache::Probe SolutionCache::lookup_or_begin(const Fingerprint& fp,
 }
 
 void SolutionCache::publish(const Fingerprint& fp, std::string_view key,
-                            const RebalanceResult& result) {
+                            const RebalanceResult& result,
+                            std::optional<std::uint64_t> content_hash) {
   Shard& shard = shard_for(fp);
   {
     std::lock_guard lock(shard.mutex);
-    insert_locked(shard, fp, key, result);
+    insert_locked(shard, fp, key, result, content_hash);
     const auto flight = shard.inflight.find(fp);
     if (flight != shard.inflight.end() && flight->second->key == key) {
       flight->second->result = result;
@@ -179,7 +235,7 @@ void SolutionCache::insert(const Fingerprint& fp, std::string_view key,
                            const RebalanceResult& result) {
   Shard& shard = shard_for(fp);
   std::lock_guard lock(shard.mutex);
-  insert_locked(shard, fp, key, result);
+  insert_locked(shard, fp, key, result, std::nullopt);
 }
 
 std::size_t SolutionCache::bytes() const {

@@ -22,12 +22,26 @@
 // key bytes + assignment bytes + a fixed bookkeeping estimate, exported
 // live as the cache.bytes / cache.entries gauges.
 //
+// Admission: a doorkeeper (admit) lets a canonical form into the LRU only
+// on its second sighting, so one-off instances never pay the key, probe,
+// publish and eviction costs, nor hold memory. It has two parts. Recent
+// first sightings sit in a lossy set-associative table of content hashes
+// (8-way buckets, one 8-byte way per kBytesPerDoorkeeperWay of budget,
+// first-in first-out per bucket, relaxed atomics): a form is forgotten
+// once 8 later first sightings land in its bucket, which costs at most
+// one extra solve. Stored forms are found through an exact index of the
+// content hashes of the entries in the LRU (publish records them, eviction
+// drops them), so admission never blocks a lookup of a stored form.
+// Either part only decides admission: a collision can cost an extra solve,
+// never a wrong reply.
+//
 // Metrics (obs registry): cache.hits, cache.misses, cache.evictions,
-// cache.inserts, cache.single_flight_waits, cache.single_flight_bypass
-// counters; cache.bytes, cache.entries gauges.
+// cache.inserts, cache.single_flight_waits, cache.single_flight_bypass,
+// cache.admissions_deferred counters; cache.bytes, cache.entries gauges.
 
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -98,9 +112,12 @@ class SolutionCache {
                                       WaitMode wait = WaitMode::kBlock);
 
   /// Publishes the leader's result: inserts it into the LRU store (evicting
-  /// while over budget) and wakes every waiter with a copy.
+  /// while over budget) and wakes every waiter with a copy. With the form's
+  /// `content_hash` (cache::content_hash), admit() passes the form for as
+  /// long as the entry stays in the LRU.
   void publish(const Fingerprint& fp, std::string_view key,
-               const RebalanceResult& result);
+               const RebalanceResult& result,
+               std::optional<std::uint64_t> content_hash = std::nullopt);
 
   /// Abandons leadership without a result; one waiter is promoted to
   /// leader, the rest keep waiting.
@@ -113,6 +130,13 @@ class SolutionCache {
   /// Plain insert without single-flight (tests, warm-up tooling).
   void insert(const Fingerprint& fp, std::string_view key,
               const RebalanceResult& result);
+
+  /// Admission: true iff `content_hash` (cache::content_hash) belongs to a
+  /// form stored in the LRU or to a recent first sighting, i.e. the caller
+  /// should go through lookup_or_begin. Otherwise records the sighting in
+  /// the bucket its low-order bits select, counts cache.admissions_deferred
+  /// and returns false: the caller solves without touching the LRU.
+  [[nodiscard]] bool admit(std::uint64_t content_hash);
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
@@ -131,6 +155,7 @@ class SolutionCache {
     std::string key;
     RebalanceResult result;
     std::size_t bytes = 0;
+    std::optional<std::uint64_t> content_hash;  ///< set iff in resident_
   };
   using LruList = std::list<Entry>;
 
@@ -155,15 +180,38 @@ class SolutionCache {
     std::size_t bytes = 0;
   };
 
+  /// Content hashes of the entries in the LRU, with multiplicity (distinct
+  /// keys may share a hash). Locked after a Shard mutex, never before.
+  struct ResidentShard {
+    std::mutex mutex;
+    std::unordered_map<std::uint64_t, std::uint32_t> count;
+  };
+
+  static constexpr std::size_t kDoorkeeperWays = 8;
+  static constexpr std::size_t kBytesPerDoorkeeperWay = 512;
+  static constexpr std::size_t kMinDoorkeeperBuckets = 128;
+
   Shard& shard_for(const Fingerprint& fp) noexcept {
     return *shards_[fp.hi & shard_mask_];
   }
+  ResidentShard& resident_for(std::uint64_t content_hash) noexcept {
+    return *resident_[(content_hash >> 32) & shard_mask_];
+  }
+  [[nodiscard]] bool resident(std::uint64_t content_hash);
+  /// Unlinks `it` from the shard's LRU, map, byte count and resident index.
+  void erase_locked(Shard& shard, LruList::iterator it);
   void insert_locked(Shard& shard, const Fingerprint& fp,
-                     std::string_view key, const RebalanceResult& result);
+                     std::string_view key, const RebalanceResult& result,
+                     std::optional<std::uint64_t> content_hash);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t shard_mask_ = 0;
   std::size_t shard_capacity_ = 0;
+  std::vector<std::unique_ptr<ResidentShard>> resident_;
+  /// Bucket b holds ways [b * kDoorkeeperWays, (b + 1) * kDoorkeeperWays),
+  /// newest first; 0 marks an empty way.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> doorkeeper_;
+  std::size_t bucket_mask_ = 0;
 
   obs::Counter& hits_;
   obs::Counter& misses_;
@@ -171,6 +219,7 @@ class SolutionCache {
   obs::Counter& inserts_;
   obs::Counter& single_flight_waits_;
   obs::Counter& single_flight_bypass_;
+  obs::Counter& admissions_deferred_;
   obs::Gauge& bytes_gauge_;
   obs::Gauge& entries_gauge_;
 };

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -94,7 +93,28 @@ RebalanceResult BatchSolver::run_item(Scratch& scratch, const TickItem& item) {
 
 RebalanceResult BatchSolver::solve_canonical(
     const TickItem& item, const cache::CanonicalInstance& canon,
-    const cache::Fingerprint& fp, std::string_view key) {
+    std::uint64_t content_hash) {
+  TickItem canonical_item = item;
+  canonical_item.instance = &canon.instance;
+  canonical_item.spec.params = solver::normalized_params(item.spec);
+  const auto solve = [&] {
+    ScratchLease lease(*this);
+    RebalanceResult result = run_item(lease.get(), canonical_item);
+    solved_counter_.add(1);
+    return result;
+  };
+  // A first sighting solves without a key, a probe or a publish: unique
+  // traffic never touches the LRU. The reply is the same canonical solve.
+  // An expensive backend's solve outweighs all of that, so it skips the
+  // doorkeeper and is cached from its first sighting.
+  if (!solver::descriptor(item.spec.backend).expensive &&
+      !cache_->admit(content_hash)) {
+    return solve();
+  }
+
+  const std::string key =
+      cache::encode_cache_key(canon.instance, item.spec, item.k);
+  const cache::Fingerprint fp = cache::fingerprint(key);
   // kNoBlock is load-bearing: this runs on pool workers (solve_items
   // phase 2) and on threads whose run_item help-drains nested
   // parallel_for tasks. Parking either on the single-flight cv can
@@ -105,51 +125,21 @@ RebalanceResult BatchSolver::solve_canonical(
       fp, key, cache::SolutionCache::WaitMode::kNoBlock);
   if (probe.hit) return std::move(probe.result);
 
-  TickItem canonical_item = item;
-  canonical_item.instance = &canon.instance;
-  canonical_item.spec.params = solver::normalized_params(item.spec);
   RebalanceResult result;
   try {
-    ScratchLease lease(*this);
-    result = run_item(lease.get(), canonical_item);
+    result = solve();
   } catch (...) {
     // Never strand single-flight waiters: hand leadership to one of them.
     if (probe.leader) cache_->cancel(fp, key);
     throw;
   }
-  solved_counter_.add(1);
-  if (probe.leader) cache_->publish(fp, key, result);
+  if (probe.leader) cache_->publish(fp, key, result, content_hash);
   return result;
 }
 
 RebalanceResult BatchSolver::solve_item(const TickItem& item) {
   auto results = solve_items(std::span<const TickItem>(&item, 1));
   return std::move(results.front());
-}
-
-RebalanceResult BatchSolver::solve_one(const Instance& instance,
-                                       std::int64_t k) {
-  TickItem item;
-  item.instance = &instance;
-  item.k = k;
-  item.spec = options_.spec;
-  const auto begin = std::chrono::steady_clock::now();
-  RebalanceResult result;
-  if (cache_ != nullptr) {
-    const cache::CanonicalInstance canon = cache::canonicalize(instance);
-    const std::string key =
-        cache::encode_cache_key(canon.instance, item.spec, item.k);
-    const cache::Fingerprint fp = cache::fingerprint(key);
-    result = cache::map_to_original(canon, solve_canonical(item, canon, fp, key));
-  } else {
-    ScratchLease lease(*this);
-    result = run_item(lease.get(), item);
-    solved_counter_.add(1);
-  }
-  const auto end = std::chrono::steady_clock::now();
-  solve_latency_ms_.record(
-      std::chrono::duration<double, std::milli>(end - begin).count());
-  return result;
 }
 
 std::vector<RebalanceResult> BatchSolver::solve_items_cached(
@@ -159,38 +149,51 @@ std::vector<RebalanceResult> BatchSolver::solve_items_cached(
   std::vector<RebalanceResult> results(n);
   if (latencies_ms != nullptr) latencies_ms->assign(n, 0.0);
 
-  // Phase 1: canonicalize every item and derive its cache key.
+  // Phase 1: canonicalize every item and hash its content. No key string
+  // yet: only admitted representatives build one (solve_canonical).
   std::vector<cache::CanonicalInstance> canons(n);
-  std::vector<std::string> keys(n);
-  std::vector<cache::Fingerprint> fps(n);
+  std::vector<std::uint64_t> hashes(n);
   std::vector<double> canon_ms(n, 0.0);
   parallel_for(pool_, 0, n, [&](std::size_t i) {
     const auto begin = Clock::now();
     const TickItem& item = items[i];
     canons[i] = cache::canonicalize(*item.instance);
-    keys[i] = cache::encode_cache_key(canons[i].instance, item.spec, item.k);
-    fps[i] = cache::fingerprint(keys[i]);
+    hashes[i] = cache::content_hash(canons[i].instance, item.spec, item.k);
     canon_ms[i] =
         std::chrono::duration<double, std::milli>(Clock::now() - begin)
             .count();
   });
 
-  // Batch dedup: items with byte-identical keys share one solve. rep[i] is
-  // the first item with item i's key; only representatives hit the cache.
+  // Batch dedup on exact content: items share one solve only when their
+  // cache keys would be byte-identical — the hash merely finds candidates.
+  // rep[i] is the first item with item i's key; only representatives are
+  // sighted by the doorkeeper and probe the cache.
   std::vector<std::size_t> rep(n);
   std::vector<std::size_t> uniques;
   {
-    std::unordered_map<std::string_view, std::size_t> first;
+    std::unordered_multimap<std::uint64_t, std::size_t> first;
     first.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto [it, inserted] = first.emplace(keys[i], i);
-      rep[i] = it->second;
-      if (inserted) uniques.push_back(i);
+      rep[i] = i;
+      const auto [lo, hi] = first.equal_range(hashes[i]);
+      for (auto it = lo; it != hi; ++it) {
+        const std::size_t r = it->second;
+        if (cache::same_cache_key(canons[i].instance, items[i].spec,
+                                  items[i].k, canons[r].instance,
+                                  items[r].spec, items[r].k)) {
+          rep[i] = r;
+          break;
+        }
+      }
+      if (rep[i] == i) {
+        first.emplace(hashes[i], i);
+        uniques.push_back(i);
+      }
     }
   }
 
-  // Phase 2: probe-or-solve each representative (canonical labels). The
-  // solve time is recorded into the histogram here, once per
+  // Phase 2: admit-then-probe-or-solve each representative (canonical
+  // labels). The solve time is recorded into the histogram here, once per
   // representative — duplicates must not re-record it below, or batches
   // with many duplicates inflate engine.solve_latency_ms.
   std::vector<RebalanceResult> canonical_results(n);
@@ -198,8 +201,7 @@ std::vector<RebalanceResult> BatchSolver::solve_items_cached(
   parallel_for(pool_, 0, uniques.size(), [&](std::size_t u) {
     const std::size_t i = uniques[u];
     const auto begin = Clock::now();
-    canonical_results[i] = solve_canonical(items[i], canons[i], fps[i],
-                                           keys[i]);
+    canonical_results[i] = solve_canonical(items[i], canons[i], hashes[i]);
     solve_ms[i] =
         std::chrono::duration<double, std::milli>(Clock::now() - begin)
             .count();

@@ -24,7 +24,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "cache/canonical.h"
@@ -57,7 +56,7 @@ namespace lrb::engine {
 
 struct BatchOptions {
   std::size_t workers = 0;  ///< pool size; 0 = hardware concurrency
-  /// Backend + parameters for solve()/solve_one(); per-item entry points
+  /// Backend + parameters for solve(); per-item entry points
   /// carry their own spec.
   solver::SolverSpec spec;
   /// Instances with at least this many jobs also use the intra-instance
@@ -73,9 +72,10 @@ struct BatchOptions {
   /// own. Never read on a path that affects results.
   obs::Registry* metrics = &obs::Registry::global();
   /// Byte budget for the canonicalizing solution cache; 0 disables it.
-  /// With the cache on, every solve goes canonicalize → probe → (solve
-  /// canonical on miss) → map back, so results are byte-identical to
-  /// cached_serial_reference whether they were served cold or warm.
+  /// With the cache on, every solve goes canonicalize → admit → probe →
+  /// (solve canonical on a first sighting or a miss) → map back, so
+  /// results are byte-identical to cached_serial_reference whether they
+  /// were deferred, cold or warm. Also sizes the admission doorkeeper.
   std::size_t cache_bytes = 0;
   /// Shard count for the solution cache (rounded up to a power of two).
   std::size_t cache_shards = 8;
@@ -118,15 +118,12 @@ class BatchSolver {
       std::span<const TickItem> items,
       std::vector<double>* latencies_ms = nullptr);
 
-  /// Solves a single instance on the calling thread (intra-instance
-  /// parallelism still uses the pool for large instances).
-  [[nodiscard]] RebalanceResult solve_one(const Instance& instance,
-                                          std::int64_t k);
-
   /// One-item tick with per-item parameters: the streaming-session replan
   /// entry (svc session handlers run it inline on their reactor thread).
   /// Identical to solve_items over a single-element span, so it carries
-  /// the same determinism contract and the same cache-awareness.
+  /// the same determinism contract and the same cache-awareness; a
+  /// one-item tick runs on the calling thread (intra-instance parallelism
+  /// still uses the pool for large instances).
   [[nodiscard]] RebalanceResult solve_item(const TickItem& item);
 
   [[nodiscard]] bool cache_enabled() const noexcept {
@@ -158,14 +155,16 @@ class BatchSolver {
   /// leased arenas, plus a debug-build makespan recheck.
   [[nodiscard]] RebalanceResult run_item(Scratch& scratch,
                                          const TickItem& item);
-  /// Probe-or-solve for one canonicalized item; returns the result in
-  /// CANONICAL labels. Probes with WaitMode::kNoBlock — it runs on (or
-  /// help-drains into) pool workers, which must never park on the
-  /// single-flight cv — so a key another thread is already solving is
-  /// solved uncached here rather than waited for.
+  /// Admit-then-probe-or-solve for one canonicalized item; returns the
+  /// result in CANONICAL labels. A form SolutionCache::admit turns away
+  /// (a first sighting) solves without touching the LRU. Admitted items
+  /// probe with WaitMode::kNoBlock — this runs on (or help-drains into)
+  /// pool workers, which must never park on the single-flight cv — so a
+  /// key another thread is already solving is solved uncached here rather
+  /// than waited for.
   [[nodiscard]] RebalanceResult solve_canonical(
       const TickItem& item, const cache::CanonicalInstance& canon,
-      const cache::Fingerprint& fp, std::string_view key);
+      std::uint64_t content_hash);
   [[nodiscard]] std::vector<RebalanceResult> solve_items_cached(
       std::span<const TickItem> items, std::vector<double>* latencies_ms);
 

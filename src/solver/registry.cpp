@@ -103,6 +103,7 @@ const BackendDescriptor kBackends[kNumBackends] = {
         .uses_eps = true,
         .scratch_reusing = true,
         .respects_k = false,
+        .expensive = true,
         .validate = &validate_bounds,
         .serial = &serial_entry<BackendId::kPtas>,
     },

@@ -48,6 +48,10 @@ struct BackendDescriptor {
   bool uses_eps = false;   ///< honors SolverParams::eps
   bool scratch_reusing = false;  ///< benefits from engine scratch arenas
   bool respects_k = true;  ///< honors the k-move bound (LPT reassigns all)
+  /// A solve costs far more than caching its result (the PTAS DP grows
+  /// exponentially in 1/eps), so the solution cache stores its forms from
+  /// the first sighting instead of the second (docs/caching.md).
+  bool expensive = false;
 
   /// Rejects out-of-bounds parameters; nullopt = valid. All current
   /// backends share the uniform bounds of validate_spec(), but the hook is

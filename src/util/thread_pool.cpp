@@ -83,6 +83,10 @@ void ThreadPool::worker_loop() {
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;
+  if (end - begin == 1) {
+    body(begin);  // one iteration needs no pool round trip
+    return;
+  }
   std::vector<std::future<void>> futures;
   futures.reserve(end - begin);
   for (std::size_t i = begin; i < end; ++i) {

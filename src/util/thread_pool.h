@@ -61,7 +61,8 @@ class ThreadPool {
 /// Runs body(i) for i in [begin, end) across the pool's workers, blocking
 /// until all iterations complete. Iterations must be independent. The
 /// calling thread helps drain the queue while it waits, so nesting
-/// parallel_for inside a pool task cannot deadlock.
+/// parallel_for inside a pool task cannot deadlock. A single iteration
+/// runs on the calling thread.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
 

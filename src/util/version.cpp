@@ -4,16 +4,19 @@
 
 namespace lrb {
 
-void print_version(const char* tool) {
 #ifndef LRB_BUILD_TYPE
 #define LRB_BUILD_TYPE "unknown"
 #endif
+
+const char* build_type() { return LRB_BUILD_TYPE; }
+
+void print_version(const char* tool) {
 #ifdef NDEBUG
   constexpr const char* kAsserts = "asserts off";
 #else
   constexpr const char* kAsserts = "asserts on";
 #endif
-  std::printf("%s lrb/%s (%s, %s)\n", tool, kLrbVersion, LRB_BUILD_TYPE,
+  std::printf("%s lrb/%s (%s, %s)\n", tool, kLrbVersion, build_type(),
               kAsserts);
   std::printf("wire protocol: v%u (sessions: v%u)\n",
               static_cast<unsigned>(kWireVersion),

@@ -32,7 +32,13 @@ inline constexpr char kSvcBenchSchema[] = "lrb-svc-bench-v1";
 /// serving profile ("reactors_1", "reactors_4"), so the committed baseline
 /// records how the sharded front-end scales (docs/performance.md).
 inline constexpr char kSvcBenchProfilesSchema[] = "lrb-svc-bench-v2";
-inline constexpr char kCacheBenchSchema[] = "lrb-cache-bench-v1";
+/// v2 adds hardware_concurrency, build_type, the "unique" profile and the
+/// inserts / admissions_deferred cache counters.
+inline constexpr char kCacheBenchSchema[] = "lrb-cache-bench-v2";
+
+/// CMAKE_BUILD_TYPE of this build ("unknown" when not configured by CMake),
+/// for bench baselines to record next to their numbers.
+[[nodiscard]] const char* build_type();
 
 /// Prints "<tool> lrb/<version> (<build type>, asserts on|off)" plus the
 /// wire/bench schema versions to stdout. Every tool maps --version here.

@@ -3,14 +3,16 @@
 // job/processor relabeling, fingerprints separate canonically distinct
 // instances, permutation mapping round-trips exactly, the sharded LRU
 // evicts in recency order with exact byte accounting, single-flight
-// collapses concurrent identical misses to one solve, and the
-// cache-enabled engine stays byte-identical to cached_serial_reference.
+// collapses concurrent identical misses to one solve, admission keeps
+// first sightings out of the LRU, and the cache-enabled engine stays
+// byte-identical to cached_serial_reference.
 //
 // Suite names all contain `Cache` so the thread-sanitize CI job picks the
 // concurrency tests up via its -R filter.
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -155,6 +157,59 @@ TEST(CacheCanonical, FingerprintSeparatesDistinctInstances) {
             key_of(BackendId::kGreedy, 6, 1.0));
   EXPECT_NE(key_of(BackendId::kPtas, 5, 0.5),
             key_of(BackendId::kPtas, 5, 0.25));
+}
+
+TEST(CacheCanonical, ContentHashAndSameKeyAgreeWithTheKeyBytes) {
+  // content_hash and same_cache_key stand in for the key bytes on the
+  // admission and dedup paths, so they must follow the key exactly: equal
+  // keys give equal hashes and same_cache_key, distinct keys give
+  // same_cache_key false (and, over this corpus, distinct hashes).
+  struct Case {
+    CanonicalInstance canon;
+    solver::SolverSpec spec;
+    std::int64_t k = 0;
+    std::string key;
+  };
+  std::vector<Case> cases;
+  Rng rng(0x4d2);
+  for (std::size_t index = 0; index < 24; ++index) {
+    const Instance instance = corpus_instance(index);
+    const Instance shuffled =
+        relabel(instance, random_job_perm(instance.num_jobs(), rng),
+                random_proc_perm(instance.num_procs, rng));
+    for (const Instance* labeling : {&instance, &shuffled}) {
+      for (const solver::SolverSpec& spec :
+           {solver::SolverSpec(BackendId::kBestOf),
+            // Knobs best-of ignores normalize into the same key.
+            solver::SolverSpec(BackendId::kBestOf, {.budget = 9, .eps = 0.3}),
+            solver::SolverSpec(BackendId::kPtas, {.eps = 0.5}),
+            solver::SolverSpec(BackendId::kPtas, {.eps = 0.25})}) {
+        for (const std::int64_t k : {3, 4}) {
+          Case c{cache::canonicalize(*labeling), spec, k, {}};
+          c.key = cache::encode_cache_key(c.canon.instance, spec, k);
+          cases.push_back(std::move(c));
+        }
+      }
+    }
+  }
+  std::size_t equal_pairs = 0;
+  for (const Case& a : cases) {
+    const std::uint64_t hash =
+        cache::content_hash(a.canon.instance, a.spec, a.k);
+    for (const Case& b : cases) {
+      const bool same_key = a.key == b.key;
+      equal_pairs += same_key ? 1 : 0;
+      EXPECT_EQ(cache::same_cache_key(a.canon.instance, a.spec, a.k,
+                                      b.canon.instance, b.spec, b.k),
+                same_key);
+      EXPECT_EQ(hash == cache::content_hash(b.canon.instance, b.spec, b.k),
+                same_key);
+    }
+  }
+  // Per instance: two best-of keys (k = 3, 4), each occurring 4 times (2
+  // labelings x 2 specs that normalize together), and four PTAS keys, each
+  // occurring twice (2 labelings) — so the equal branch really ran.
+  EXPECT_EQ(equal_pairs, 24u * (2 * 4 * 4 + 4 * 2 * 2));
 }
 
 TEST(CacheCanonical, MappingRoundTripsAndPreservesAccounting) {
@@ -418,23 +473,32 @@ TEST(CacheEngine, CachedSolvesAreByteIdenticalColdAndWarm) {
     instances.push_back(corpus_instance(index));
     ks.push_back(static_cast<std::int64_t>(index % 5) + 1);
   }
+  // First sighting (deferred, never cached), second (admitted: a miss
+  // that inserts), third (warm hit).
+  const auto first = solver.solve(instances, ks);
   const auto cold = solver.solve(instances, ks);
   const auto warm = solver.solve(instances, ks);
   ASSERT_EQ(cold.size(), instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const RebalanceResult want = engine::cached_serial_reference(
         options.spec, instances[i], ks[i]);
+    EXPECT_EQ(first[i].assignment, want.assignment) << "first " << i;
     EXPECT_EQ(cold[i].assignment, want.assignment) << "cold " << i;
     EXPECT_EQ(warm[i].assignment, want.assignment) << "warm " << i;
+    EXPECT_EQ(first[i].makespan, want.makespan);
     EXPECT_EQ(cold[i].makespan, want.makespan);
     EXPECT_EQ(warm[i].moves, want.moves);
     EXPECT_EQ(warm[i].cost, want.cost);
     EXPECT_EQ(warm[i].threshold, want.threshold);
   }
-  // The warm pass was served from cache: no new solves.
-  EXPECT_EQ(registry.counter("engine.instances_solved").value(),
-            instances.size());
-  EXPECT_GE(registry.counter("cache.hits").value(), instances.size());
+  // Two solves per instance (deferred + admitted miss); the warm pass was
+  // served from cache.
+  const std::uint64_t n = instances.size();
+  EXPECT_EQ(registry.counter("engine.instances_solved").value(), 2 * n);
+  EXPECT_EQ(registry.counter("cache.admissions_deferred").value(), n);
+  EXPECT_EQ(registry.counter("cache.misses").value(), n);
+  EXPECT_EQ(registry.counter("cache.inserts").value(), n);
+  EXPECT_EQ(registry.counter("cache.hits").value(), n);
 }
 
 TEST(CacheEngine, RelabeledInstancesHitTheSameEntry) {
@@ -447,14 +511,19 @@ TEST(CacheEngine, RelabeledInstancesHitTheSameEntry) {
 
   Rng rng(0x5150);
   const Instance instance = corpus_instance(11);
-  const RebalanceResult original = solver.solve_one(instance, 6);
-  EXPECT_EQ(registry.counter("engine.instances_solved").value(), 1u);
+  // The first sighting is deferred; the second admits it (miss + insert).
+  const RebalanceResult original =
+      solver.solve_item({&instance, 6, options.spec});
+  EXPECT_EQ(solver.solve_item({&instance, 6, options.spec}).assignment,
+            original.assignment);
+  EXPECT_EQ(registry.counter("engine.instances_solved").value(), 2u);
+  EXPECT_EQ(registry.counter("cache.inserts").value(), 1u);
 
   for (int trial = 0; trial < 5; ++trial) {
     const auto job_perm = random_job_perm(instance.num_jobs(), rng);
     const auto proc_perm = random_proc_perm(instance.num_procs, rng);
     const Instance shuffled = relabel(instance, job_perm, proc_perm);
-    const RebalanceResult got = solver.solve_one(shuffled, 6);
+    const RebalanceResult got = solver.solve_item({&shuffled, 6, options.spec});
     // Same canonical entry (no extra solve), mapped back to the relabeled
     // instance's own labels — byte-identical to its serial reference.
     const RebalanceResult want = engine::cached_serial_reference(
@@ -464,7 +533,7 @@ TEST(CacheEngine, RelabeledInstancesHitTheSameEntry) {
     EXPECT_EQ(got.moves, original.moves);
     EXPECT_EQ(got.cost, original.cost);
   }
-  EXPECT_EQ(registry.counter("engine.instances_solved").value(), 1u);
+  EXPECT_EQ(registry.counter("engine.instances_solved").value(), 2u);
   EXPECT_EQ(registry.counter("cache.hits").value(), 5u);
 }
 
@@ -600,7 +669,7 @@ TEST(CacheEngine, DedupKeysDistinguishAlgoAndPtasParameters) {
 }
 
 TEST(CacheEngine, ManyThreadsHammeringTheSolverStayConsistent) {
-  // TSan target: concurrent solve_one calls over a small instance pool
+  // TSan target: concurrent solve_item calls over a small instance pool
   // exercise probe / single-flight / publish / eviction from many threads.
   obs::Registry registry;
   engine::BatchOptions options;
@@ -630,7 +699,8 @@ TEST(CacheEngine, ManyThreadsHammeringTheSolverStayConsistent) {
       for (int iter = 0; iter < 40; ++iter) {
         const auto index = static_cast<std::size_t>(
             rng.uniform_int(0, kInstances - 1));
-        const RebalanceResult got = solver.solve_one(instances[index], 3);
+        const RebalanceResult got =
+            solver.solve_item({&instances[index], 3, options.spec});
         if (got.assignment != want[index].assignment) failed.store(true);
       }
     });
@@ -644,6 +714,345 @@ TEST(CacheEngine, ManyThreadsHammeringTheSolverStayConsistent) {
             registry.gauge("cache.bytes").value());
   EXPECT_EQ(static_cast<std::int64_t>(cache->entries()),
             registry.gauge("cache.entries").value());
+}
+
+// ---- admission: a canonical form enters the LRU on its second sighting --
+
+/// A cache-enabled solver on its own registry, plus counter shorthands.
+struct AdmissionFixture {
+  explicit AdmissionFixture(std::size_t workers = 2) {
+    options.workers = workers;
+    options.cache_bytes = std::size_t{8} << 20;
+    options.metrics = &registry;
+    solver = std::make_unique<engine::BatchSolver>(options);
+  }
+  RebalanceResult solve(const Instance& instance, std::int64_t k) {
+    return solver->solve_item({&instance, k, options.spec});
+  }
+  std::uint64_t counter(const char* name) {
+    return registry.counter(name).value();
+  }
+  obs::Registry registry;
+  engine::BatchOptions options;
+  std::unique_ptr<engine::BatchSolver> solver;
+};
+
+void expect_same_reply(const RebalanceResult& got,
+                       const RebalanceResult& want) {
+  EXPECT_EQ(got.assignment, want.assignment);
+  EXPECT_EQ(got.makespan, want.makespan);
+  EXPECT_EQ(got.moves, want.moves);
+  EXPECT_EQ(got.cost, want.cost);
+  EXPECT_EQ(got.threshold, want.threshold);
+}
+
+TEST(CacheAdmission, FirstSightingInsertsNothingAndMatchesTheReference) {
+  AdmissionFixture f;
+  const Instance instance = corpus_instance(3);
+  expect_same_reply(f.solve(instance, 4),
+                    engine::cached_serial_reference(f.options.spec,
+                                                    instance, 4));
+  EXPECT_EQ(f.counter("cache.admissions_deferred"), 1u);
+  EXPECT_EQ(f.counter("engine.instances_solved"), 1u);
+  EXPECT_EQ(f.counter("cache.hits"), 0u);
+  EXPECT_EQ(f.counter("cache.misses"), 0u);
+  EXPECT_EQ(f.counter("cache.inserts"), 0u);
+  EXPECT_EQ(f.solver->solution_cache()->entries(), 0u);
+  EXPECT_EQ(f.registry.gauge("cache.bytes").value(), 0);
+}
+
+TEST(CacheAdmission, RemembersOneFirstSightingPer512BytesOfBudget) {
+  obs::Registry registry;
+  cache::CacheOptions options;
+  options.max_bytes = std::size_t{1} << 20;
+  options.metrics = &registry;
+  SolutionCache cache(options);
+  // Consecutive hashes spread evenly over the buckets (their low-order
+  // bits pick one), so a budget's worth of first sightings fills every
+  // way exactly once and each one is still remembered afterwards.
+  const std::uint64_t sightings = options.max_bytes / 512;
+  for (std::uint64_t h = 1; h <= sightings; ++h) EXPECT_FALSE(cache.admit(h));
+  for (std::uint64_t h = 1; h <= sightings; ++h) {
+    ASSERT_TRUE(cache.admit(h)) << h;
+  }
+  EXPECT_EQ(registry.counter("cache.admissions_deferred").value(), sightings);
+}
+
+TEST(CacheAdmission, FormsSharingABucketAreRememberedSideBySide) {
+  obs::Registry registry;
+  cache::CacheOptions options;
+  options.metrics = &registry;
+  SolutionCache cache(options);
+  // Hashes that differ only above bit 40 share a bucket in any table.
+  const auto in_bucket = [](std::uint64_t i) {
+    return 0x1234567ULL + (i << 40);
+  };
+  // Two forms requested alternately: both are admitted on their second
+  // sighting instead of evicting each other's record.
+  EXPECT_FALSE(cache.admit(in_bucket(0)));
+  EXPECT_FALSE(cache.admit(in_bucket(1)));
+  EXPECT_TRUE(cache.admit(in_bucket(0)));
+  EXPECT_TRUE(cache.admit(in_bucket(1)));
+  // A bucket keeps its 8 newest first sightings: the ninth pushes out the
+  // oldest, which is then a first sighting again.
+  for (std::uint64_t i = 2; i < 9; ++i) EXPECT_FALSE(cache.admit(in_bucket(i)));
+  EXPECT_FALSE(cache.admit(in_bucket(0)));
+  EXPECT_TRUE(cache.admit(in_bucket(8)));
+  EXPECT_EQ(registry.counter("cache.admissions_deferred").value(), 10u);
+}
+
+TEST(CacheAdmission, AStoredFormIsAdmittedUntilItsEntryIsEvicted) {
+  obs::Registry registry;
+  const Instance instance = corpus_instance(3);
+  const CanonicalInstance canon = cache::canonicalize(instance);
+  const RebalanceResult result = engine::solve_serial_reference(
+      BackendId::kGreedy, canon.instance, 4);
+  const auto key_for = [&](std::int64_t k) {
+    return cache::encode_cache_key(canon.instance, BackendId::kGreedy, k);
+  };
+  cache::CacheOptions options;
+  options.shards = 1;
+  options.max_bytes =
+      2 * SolutionCache::entry_bytes(key_for(0).size(),
+                                     result.assignment.size());
+  options.metrics = &registry;
+  SolutionCache cache(options);
+  const auto in_bucket = [](std::uint64_t i) {
+    return 0x89abcdULL + (i << 40);
+  };
+
+  cache.publish(cache::fingerprint(key_for(0)), key_for(0), result,
+                in_bucket(0));
+  // Its bucket forgets every earlier sighting, but the stored form is
+  // still let through to its hit.
+  for (std::uint64_t i = 1; i <= 8; ++i) {
+    EXPECT_FALSE(cache.admit(in_bucket(i)));
+  }
+  EXPECT_TRUE(cache.admit(in_bucket(0)));
+  EXPECT_TRUE(
+      cache.lookup(cache::fingerprint(key_for(0)), key_for(0)).has_value());
+  // Re-publishing refreshes the entry without double-counting it.
+  cache.publish(cache::fingerprint(key_for(0)), key_for(0), result,
+                in_bucket(0));
+  EXPECT_TRUE(cache.admit(in_bucket(0)));
+
+  // Two newer entries evict it; from then on it is a first sighting again.
+  cache.insert(cache::fingerprint(key_for(1)), key_for(1), result);
+  cache.insert(cache::fingerprint(key_for(2)), key_for(2), result);
+  ASSERT_EQ(registry.counter("cache.evictions").value(), 1u);
+  EXPECT_FALSE(
+      cache.lookup(cache::fingerprint(key_for(0)), key_for(0)).has_value());
+  EXPECT_FALSE(cache.admit(in_bucket(0)));
+}
+
+TEST(CacheAdmission, AStoredFormStillHitsAfterAFloodOfUniqueForms) {
+  // The smallest doorkeeper (1,024 ways): 4,096 unique first sightings
+  // overwrite every bucket several times over.
+  obs::Registry registry;
+  engine::BatchOptions options;
+  options.workers = 2;
+  options.cache_bytes = std::size_t{64} << 10;
+  options.metrics = &registry;
+  engine::BatchSolver solver(options);
+  const auto solve = [&](const Instance& instance) {
+    return solver.solve_item({&instance, 3, options.spec});
+  };
+  const auto counter = [&](const char* name) {
+    return registry.counter(name).value();
+  };
+
+  const Instance stored = corpus_instance(5);
+  const RebalanceResult want =
+      engine::cached_serial_reference(options.spec, stored, 3);
+  expect_same_reply(solve(stored), want);
+  expect_same_reply(solve(stored), want);
+  ASSERT_EQ(counter("cache.inserts"), 1u);
+
+  constexpr std::uint64_t kUnique = 4096;
+  GeneratorOptions gen;
+  gen.num_jobs = 8;
+  gen.num_procs = 3;
+  gen.max_size = 1000;
+  for (std::uint64_t seed = 0; seed < kUnique; ++seed) {
+    (void)solve(random_instance(gen, 0xf100d + seed));
+  }
+  EXPECT_EQ(counter("cache.admissions_deferred"), 1 + kUnique);
+  EXPECT_EQ(counter("cache.inserts"), 1u);
+
+  expect_same_reply(solve(stored), want);
+  EXPECT_EQ(counter("cache.hits"), 1u);
+  EXPECT_EQ(counter("cache.misses"), 1u);
+  EXPECT_EQ(counter("engine.instances_solved"), 2 + kUnique);
+}
+
+TEST(CacheAdmission, SecondSightingIsAMissThatInsertsAndTheThirdHits) {
+  AdmissionFixture f;
+  const Instance instance = corpus_instance(5);
+  const RebalanceResult want =
+      engine::cached_serial_reference(f.options.spec, instance, 3);
+
+  expect_same_reply(f.solve(instance, 3), want);
+  expect_same_reply(f.solve(instance, 3), want);
+  EXPECT_EQ(f.counter("cache.admissions_deferred"), 1u);
+  EXPECT_EQ(f.counter("cache.misses"), 1u);
+  EXPECT_EQ(f.counter("cache.inserts"), 1u);
+  EXPECT_EQ(f.counter("cache.hits"), 0u);
+  EXPECT_EQ(f.counter("engine.instances_solved"), 2u);
+  EXPECT_EQ(f.solver->solution_cache()->entries(), 1u);
+
+  expect_same_reply(f.solve(instance, 3), want);
+  EXPECT_EQ(f.counter("cache.hits"), 1u);
+  EXPECT_EQ(f.counter("cache.misses"), 1u);
+  EXPECT_EQ(f.counter("cache.admissions_deferred"), 1u);
+  EXPECT_EQ(f.counter("engine.instances_solved"), 2u);
+
+  // A different k is a different key: its own first sighting.
+  (void)f.solve(instance, 4);
+  EXPECT_EQ(f.counter("cache.admissions_deferred"), 2u);
+  EXPECT_EQ(f.counter("cache.inserts"), 1u);
+}
+
+TEST(CacheAdmission, AnExpensiveBackendIsCachedFromItsFirstSighting) {
+  AdmissionFixture f;
+  GeneratorOptions gen;
+  gen.num_jobs = 12;
+  gen.num_procs = 3;
+  gen.max_size = 100;
+  const Instance instance = random_instance(gen, 0x9a5);
+  const solver::SolverSpec spec(BackendId::kPtas, {.eps = 0.5});
+  ASSERT_TRUE(solver::descriptor(spec.backend).expensive);
+  const RebalanceResult want =
+      engine::cached_serial_reference(spec, instance, 3);
+
+  // No deferred sighting: the first request is a miss that inserts, the
+  // second a hit, so the DP runs once.
+  expect_same_reply(f.solver->solve_item({&instance, 3, spec}), want);
+  EXPECT_EQ(f.counter("cache.admissions_deferred"), 0u);
+  EXPECT_EQ(f.counter("cache.misses"), 1u);
+  EXPECT_EQ(f.counter("cache.inserts"), 1u);
+  expect_same_reply(f.solver->solve_item({&instance, 3, spec}), want);
+  EXPECT_EQ(f.counter("cache.hits"), 1u);
+  EXPECT_EQ(f.counter("engine.instances_solved"), 1u);
+}
+
+TEST(CacheAdmission, ARelabeledInstanceCountsAsTheSameSighting) {
+  AdmissionFixture f;
+  Rng rng(0xad3);
+  const Instance instance = corpus_instance(8);
+  std::vector<Instance> labelings{instance};
+  for (int i = 0; i < 2; ++i) {
+    labelings.push_back(relabel(instance,
+                                random_job_perm(instance.num_jobs(), rng),
+                                random_proc_perm(instance.num_procs, rng)));
+  }
+  // Sightings 1, 2, 3 under three labelings: deferred, admitted, hit —
+  // each reply in its own labels.
+  for (const Instance& labeling : labelings) {
+    expect_same_reply(f.solve(labeling, 5),
+                      engine::cached_serial_reference(f.options.spec,
+                                                      labeling, 5));
+  }
+  EXPECT_EQ(f.counter("cache.admissions_deferred"), 1u);
+  EXPECT_EQ(f.counter("cache.misses"), 1u);
+  EXPECT_EQ(f.counter("cache.inserts"), 1u);
+  EXPECT_EQ(f.counter("cache.hits"), 1u);
+  EXPECT_EQ(f.counter("engine.instances_solved"), 2u);
+}
+
+TEST(CacheAdmission, IdenticalFirstSightingsInOneTickSolveOnce) {
+  AdmissionFixture f(/*workers=*/4);
+  Rng rng(0x71c);
+  const Instance instance = corpus_instance(9);
+  const Instance shuffled =
+      relabel(instance, random_job_perm(instance.num_jobs(), rng),
+              random_proc_perm(instance.num_procs, rng));
+  using Item = engine::BatchSolver::TickItem;
+  const std::vector<Item> items{{&instance, 4, f.options.spec},
+                                {&shuffled, 4, f.options.spec},
+                                {&instance, 4, f.options.spec}};
+  const auto check = [&](const std::vector<RebalanceResult>& got) {
+    ASSERT_EQ(got.size(), items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_same_reply(got[i], engine::cached_serial_reference(
+                                    f.options.spec, *items[i].instance, 4));
+    }
+  };
+  // The tick's copies dedup to one representative, which is the content's
+  // one (deferred) sighting: one solve, nothing inserted.
+  check(f.solver->solve_items(items));
+  EXPECT_EQ(f.counter("engine.instances_solved"), 1u);
+  EXPECT_EQ(f.counter("cache.admissions_deferred"), 1u);
+  EXPECT_EQ(f.counter("cache.inserts"), 0u);
+  // The next tick is the second sighting, the one after that a hit.
+  check(f.solver->solve_items(items));
+  check(f.solver->solve_items(items));
+  EXPECT_EQ(f.counter("engine.instances_solved"), 2u);
+  EXPECT_EQ(f.counter("cache.inserts"), 1u);
+  EXPECT_EQ(f.counter("cache.hits"), 1u);
+}
+
+TEST(CacheAdmission, ManyThreadsMixingUniqueAndRepeatedKeys) {
+  // TSan target: the doorkeeper's relaxed slots, single-flight and publish
+  // raced from many threads, with unique keys (never cached) interleaved
+  // with a small repeated set. Every reply is byte-checked.
+  AdmissionFixture f;
+  constexpr std::size_t kRepeated = 6;
+  constexpr int kThreads = 8;
+  constexpr int kIters = 30;
+  std::vector<Instance> repeated;
+  std::vector<RebalanceResult> want;
+  for (std::size_t index = 0; index < kRepeated; ++index) {
+    repeated.push_back(corpus_instance(index));
+    want.push_back(engine::cached_serial_reference(f.options.spec,
+                                                   repeated.back(), 3));
+  }
+
+  std::atomic<int> mismatches{0};
+  std::atomic<std::uint64_t> uniques{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<std::uint64_t>(t) + 17);
+      for (int iter = 0; iter < kIters; ++iter) {
+        if (iter % 2 == 0) {
+          const auto pick = static_cast<std::size_t>(
+              rng.uniform_int(0, kRepeated - 1));
+          if (f.solve(repeated[pick], 3).assignment !=
+              want[pick].assignment) {
+            mismatches.fetch_add(1);
+          }
+        } else {
+          // Distinct per (thread, iter). Not corpus_instance: its unit-size
+          // families repeat canonical forms across indices.
+          GeneratorOptions gen;
+          gen.num_jobs = 48;
+          gen.num_procs = 6;
+          gen.max_size = 1000;
+          const Instance unique = random_instance(
+              gen, 0x0417 + static_cast<std::uint64_t>(t * kIters + iter));
+          if (f.solve(unique, 3).assignment !=
+              engine::cached_serial_reference(f.options.spec, unique, 3)
+                  .assignment) {
+            mismatches.fetch_add(1);
+          }
+          uniques.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  // Uniques are each sighted once, so none is cached; only repeated keys
+  // can be inserted, each at most once (8 MiB never evicts here).
+  EXPECT_GE(f.counter("cache.admissions_deferred"), uniques.load());
+  EXPECT_LE(f.counter("cache.inserts"), kRepeated);
+  EXPECT_EQ(f.counter("cache.evictions"), 0u);
+  EXPECT_EQ(f.solver->solution_cache()->entries(),
+            f.counter("cache.inserts"));
+  EXPECT_EQ(static_cast<std::int64_t>(f.solver->solution_cache()->bytes()),
+            f.registry.gauge("cache.bytes").value());
 }
 
 }  // namespace

@@ -113,8 +113,9 @@ TEST(CorpusReplay, EveryInstanceRepro) {
 
 TEST(CorpusReplay, EveryInstanceReproThroughTheCachePath) {
   // The same corpus again, but through a cache-enabled BatchSolver: each
-  // repro is solved twice per algorithm (cold miss, then warm hit) and
-  // both replies must be byte-identical to cached_serial_reference
+  // repro is solved three times per algorithm (first sighting, which
+  // admission keeps out of the cache; cold miss that inserts; warm hit)
+  // and every reply must be byte-identical to cached_serial_reference
   // (docs/caching.md). Cached serving must never resurrect a fixed bug
   // differently from the serial path.
   obs::Registry registry;
@@ -145,7 +146,7 @@ TEST(CorpusReplay, EveryInstanceReproThroughTheCachePath) {
       item.instance = &*instance;
       item.k = repro.k;
       item.spec = backend;
-      for (const char* pass : {"cold", "warm"}) {
+      for (const char* pass : {"first", "cold", "warm"}) {
         const auto got = solver.solve_items({&item, 1});
         ASSERT_EQ(got.size(), 1u);
         EXPECT_EQ(got[0].assignment, want.assignment)
@@ -157,8 +158,12 @@ TEST(CorpusReplay, EveryInstanceReproThroughTheCachePath) {
       }
     }
   }
-  // The second pass per (repro, backend) is a guaranteed hit.
-  EXPECT_GE(registry.counter("cache.hits").value(), 5 * files.size());
+  // Per (repro, backend): one deferred sighting, one miss that inserts,
+  // one hit.
+  const std::uint64_t keys = 5 * files.size();
+  EXPECT_EQ(registry.counter("cache.admissions_deferred").value(), keys);
+  EXPECT_EQ(registry.counter("cache.inserts").value(), keys);
+  EXPECT_EQ(registry.counter("cache.hits").value(), keys);
 }
 
 TEST(CorpusReplay, EveryStreamTranscript) {

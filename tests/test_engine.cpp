@@ -254,8 +254,8 @@ TEST(BatchSolver, SolveOneMatchesSolveAndFillsLatencies) {
   ASSERT_EQ(latencies.size(), corpus.size());
   for (double l : latencies) EXPECT_GE(l, 0.0);
   for (std::size_t i = 0; i < corpus.size(); ++i) {
-    expect_same(solver.solve_one(instances[i], ks[i]), results[i],
-                "solve_one " + corpus[i].name);
+    expect_same(solver.solve_item({&instances[i], ks[i], options.spec}),
+                results[i], "solve_item " + corpus[i].name);
   }
 }
 

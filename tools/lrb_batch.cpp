@@ -24,12 +24,15 @@
 //                        (only read by backends that use them, e.g. ptas)
 //
 // Results must be byte-identical across every worker configuration; the
-// tool exits 1 (and says so) whenever they are not.
+// tool exits 1 (and says so) whenever they are not. Out-of-range numeric
+// flags exit 2 before any corpus is read or pool started.
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -51,6 +54,16 @@ int fail(const std::string& message) {
   std::cerr << "lrb_batch: " << message << "\n";
   return 1;
 }
+
+/// A flag value out of range: exit 2, before any corpus or pool exists.
+int bad_flag(const std::string& message) {
+  std::cerr << "lrb_batch: " << message << "\n";
+  return 2;
+}
+
+constexpr std::int64_t kMaxThreads = 1024;
+constexpr std::int64_t kMaxInstances = 100'000'000;
+constexpr std::int64_t kMaxReps = 1'000'000;
 
 bool results_equal(const RebalanceResult& x, const RebalanceResult& y) {
   return x.assignment == y.assignment && x.makespan == y.makespan &&
@@ -99,8 +112,35 @@ int main(int argc, char** argv) {
   }
   const double k_frac = flags.get_double("k-frac", 0.25);
   if (k_frac < 0.0) return fail("--k-frac must be >= 0");
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps", 3));
-  if (reps == 0) return fail("--reps must be >= 1");
+  // Counts are range-checked on the signed value before their unsigned
+  // casts; the first bad flag is reported once they are all read.
+  std::string flag_error;
+  const auto reps = static_cast<std::size_t>(
+      flags.get_int_in("reps", 3, 1, kMaxReps, &flag_error));
+  const auto count = static_cast<std::size_t>(
+      flags.get_int_in("generate", 1000, 1, kMaxInstances, &flag_error));
+  const auto seed = static_cast<std::uint64_t>(flags.get_int_in(
+      "seed", 7, 0, std::numeric_limits<std::int64_t>::max(), &flag_error));
+  std::vector<std::size_t> worker_list;
+  {
+    std::stringstream ss(flags.get_or("workers", "1,0"));
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+      if (item.empty()) continue;
+      char* end = nullptr;
+      const long long workers = std::strtoll(item.c_str(), &end, 10);
+      if (*end != '\0' || workers < 0 || workers > kMaxThreads) {
+        if (flag_error.empty()) {
+          flag_error = "--workers entries must be in [0, " +
+                       std::to_string(kMaxThreads) + "]";
+        }
+        continue;
+      }
+      worker_list.push_back(static_cast<std::size_t>(workers));
+    }
+  }
+  if (!flag_error.empty()) return bad_flag(flag_error);
+  if (worker_list.empty()) return fail("--workers list is empty");
   spec.params.eps = flags.get_double("ptas-eps", 1.0);
   spec.params.budget = flags.get_int("ptas-budget", kInfCost);
   if (const auto problem = solver::validate_spec(spec)) {
@@ -110,7 +150,6 @@ int main(int argc, char** argv) {
   // ---- Corpus. ----
   std::vector<Instance> instances;
   std::string corpus_source;
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   if (const auto path = flags.get("corpus")) {
     corpus_source = *path;
     std::ifstream in(*path);
@@ -123,8 +162,6 @@ int main(int argc, char** argv) {
     }
     if (instances.empty()) return fail("corpus '" + *path + "' is empty");
   } else {
-    const auto count = static_cast<std::size_t>(flags.get_int("generate", 1000));
-    if (count == 0) return fail("--generate must be >= 1");
     corpus_source = "generated";
     instances.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
@@ -136,18 +173,6 @@ int main(int argc, char** argv) {
     ks[i] = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(
                k_frac * static_cast<double>(instances[i].num_jobs())));
-  }
-
-  // ---- Worker configurations. ----
-  std::vector<std::size_t> worker_list;
-  {
-    std::stringstream ss(flags.get_or("workers", "1,0"));
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (item.empty()) continue;
-      worker_list.push_back(static_cast<std::size_t>(std::stoull(item)));
-    }
-    if (worker_list.empty()) return fail("--workers list is empty");
   }
 
   // ---- Runs. ----

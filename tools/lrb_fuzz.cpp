@@ -50,8 +50,10 @@
 //                         written to the corpus like every other mode.
 //   --cache               cache differential mode: every drawn case is
 //                         solved through one process-long cache-enabled
-//                         BatchSolver twice (cold-ish, then warm) plus once
-//                         more under a random job/processor relabeling, and
+//                         BatchSolver three times (first sighting, which
+//                         admission keeps out of the cache; admitting miss;
+//                         warm hit) plus once more under a random
+//                         job/processor relabeling, and
 //                         each reply is byte-compared against
 //                         engine::cached_serial_reference. Violations are
 //                         shrunk (each shrink candidate gets a FRESH
@@ -406,8 +408,10 @@ std::string cache_reply_mismatch(const RebalanceResult& got,
 }
 
 /// Empty string iff `solver` (cache-enabled) answers this case
-/// byte-identically to cached_serial_reference on a first pass, a second
-/// (guaranteed-warm) pass, and a warm pass under a random relabeling.
+/// byte-identically to cached_serial_reference on a first pass (a first
+/// sighting, kept out of the cache unless the backend is expensive), an
+/// admitting pass (miss + insert, or a hit), a warm pass (a hit), and a
+/// warm pass under a random relabeling.
 std::string cache_divergence(engine::BatchSolver& solver,
                              const CacheCase& fuzz_case) {
   const RebalanceResult want = engine::cached_serial_reference(
@@ -416,8 +420,8 @@ std::string cache_divergence(engine::BatchSolver& solver,
   item.instance = &fuzz_case.instance;
   item.k = fuzz_case.k;
   item.spec = fuzz_case.spec;
-  const char* pass_names[] = {"first", "warm"};
-  for (int pass = 0; pass < 2; ++pass) {
+  const char* pass_names[] = {"first", "admitting", "warm"};
+  for (int pass = 0; pass < 3; ++pass) {
     const auto got = solver.solve_items({&item, 1});
     if (const auto why = cache_reply_mismatch(got[0], want); !why.empty()) {
       return std::string(pass_names[pass]) + "-pass reply: " + why;
@@ -438,8 +442,8 @@ std::string cache_divergence(engine::BatchSolver& solver,
 }
 
 /// Shrink predicate: a FRESH single-worker cache-enabled solver per
-/// candidate, so the cold miss, the warm hit and the relabeled hit are all
-/// replayed from scratch.
+/// candidate, so the first sighting, the admitting miss, the warm hit and
+/// the relabeled hit are all replayed from scratch.
 std::string cache_divergence_fresh(const CacheCase& fuzz_case) {
   obs::Registry registry;
   engine::BatchOptions options;
@@ -791,6 +795,8 @@ int main(int argc, char** argv) {
               << violations << " violation(s), "
               << registry.counter("cache.hits").value() << " hits / "
               << registry.counter("cache.misses").value() << " misses / "
+              << registry.counter("cache.admissions_deferred").value()
+              << " deferred / "
               << registry.counter("cache.evictions").value()
               << " evictions in " << timer.millis() / 1000.0 << " s\n";
     if (expect_violation) {

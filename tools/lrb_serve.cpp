@@ -27,9 +27,11 @@
 //   --help               print usage, including the Stats JSON schema
 //   --version            print version/schema info and exit
 //
-// At least one of --unix / --tcp is required.
+// At least one of --unix / --tcp is required. Out-of-range numeric flags
+// exit 2 before anything starts.
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -45,6 +47,17 @@ int fail(const std::string& message) {
   std::cerr << "lrb_serve: " << message << "\n";
   return 1;
 }
+
+/// A flag value out of range: exit 2, before any listener or pool exists.
+int bad_flag(const std::string& message) {
+  std::cerr << "lrb_serve: " << message << "\n";
+  return 2;
+}
+
+constexpr std::int64_t kMaxThreads = 1024;
+constexpr std::int64_t kMaxCount = std::int64_t{1} << 30;
+/// 1 TiB: keeps `cache_mb << 20` far from overflow.
+constexpr std::int64_t kMaxCacheMb = std::int64_t{1} << 20;
 
 /// --help: usage plus the observable surface a dashboard scrapes — the
 /// Stats reply / --metrics-json schema and its metric families. Kept in
@@ -101,7 +114,12 @@ void print_help() {
       "              (svc.requests_solve, svc.replies_solve_ok, ...) plus\n"
       "              svc.requests_session for the v2 frames\n"
       "    engine.*  batch-engine tick and latency metrics\n"
-      "    cache.*   solution cache hits/misses/evictions (--cache-mb)\n"
+      "    cache.*   solution cache (--cache-mb; docs/caching.md): hits,\n"
+      "              misses, inserts, evictions, single_flight_waits,\n"
+      "              single_flight_bypass, admissions_deferred (first\n"
+      "              sightings solved without touching the cache; a form\n"
+      "              is cached on its second sighting, a ptas form on its\n"
+      "              first) (counters), bytes, entries (gauges)\n"
       "    stream.*  streaming sessions (docs/streaming.md#metrics):\n"
       "              sessions_open (gauge), sessions_opened,\n"
       "              sessions_closed, deltas_applied, deltas_rejected,\n"
@@ -136,37 +154,38 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Counts are range-checked on the signed value before their unsigned
+  // casts; the first bad flag is reported once everything is read.
+  std::string flag_error;
   svc::ServerOptions options;
   options.unix_path = flags.get_or("unix", "");
-  options.tcp_port = static_cast<int>(flags.get_int("tcp", -1));
+  options.tcp_port =
+      flags.has("tcp")
+          ? static_cast<int>(flags.get_int_in("tcp", 0, 0, 65535, &flag_error))
+          : -1;
   options.tcp_bind = flags.get_or("bind", "127.0.0.1");
-  options.engine.workers =
-      static_cast<std::size_t>(flags.get_int("workers", 0));
-  const std::int64_t reactors = flags.get_int("reactors", 1);
-  const std::int64_t engine_workers = flags.get_int("engine-workers", 1);
-  const std::int64_t max_batch = flags.get_int("max-batch", 64);
-  const std::int64_t max_queue = flags.get_int("max-queue", 256);
-  const std::int64_t max_conns = flags.get_int("max-conns", 256);
-  const std::int64_t tick_delay = flags.get_int("tick-delay-ms", 0);
-  const std::int64_t cache_mb = flags.get_int("cache-mb", 0);
-  if (reactors < 1) return fail("--reactors must be >= 1");
-  if (engine_workers < 1) return fail("--engine-workers must be >= 1");
-  if (max_batch < 1) return fail("--max-batch must be >= 1");
-  if (max_queue < 1) return fail("--max-queue must be >= 1");
-  if (max_conns < 1) return fail("--max-conns must be >= 1");
-  if (tick_delay < 0) return fail("--tick-delay-ms must be >= 0");
-  if (cache_mb < 0) return fail("--cache-mb must be >= 0");
-  options.reactors = static_cast<std::size_t>(reactors);
-  options.engine_workers = static_cast<std::size_t>(engine_workers);
-  options.max_batch = static_cast<std::size_t>(max_batch);
-  options.max_queue = static_cast<std::size_t>(max_queue);
-  options.max_connections = static_cast<std::size_t>(max_conns);
-  options.tick_delay_ms = static_cast<std::uint32_t>(tick_delay);
-  options.cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
+  options.engine.workers = static_cast<std::size_t>(
+      flags.get_int_in("workers", 0, 0, kMaxThreads, &flag_error));
+  options.reactors = static_cast<std::size_t>(
+      flags.get_int_in("reactors", 1, 1, kMaxThreads, &flag_error));
+  options.engine_workers = static_cast<std::size_t>(
+      flags.get_int_in("engine-workers", 1, 1, kMaxThreads, &flag_error));
+  options.max_batch = static_cast<std::size_t>(
+      flags.get_int_in("max-batch", 64, 1, kMaxCount, &flag_error));
+  options.max_queue = static_cast<std::size_t>(
+      flags.get_int_in("max-queue", 256, 1, kMaxCount, &flag_error));
+  options.max_connections = static_cast<std::size_t>(
+      flags.get_int_in("max-conns", 256, 1, kMaxCount, &flag_error));
+  options.tick_delay_ms = static_cast<std::uint32_t>(
+      flags.get_int_in("tick-delay-ms", 0, 0, 60'000, &flag_error));
+  options.cache_bytes =
+      static_cast<std::size_t>(
+          flags.get_int_in("cache-mb", 0, 0, kMaxCacheMb, &flag_error))
+      << 20;
+  if (!flag_error.empty()) return bad_flag(flag_error);
   if (options.unix_path.empty() && options.tcp_port < 0) {
     return fail("need at least one of --unix PATH / --tcp PORT");
   }
-  if (options.tcp_port > 65535) return fail("--tcp port out of range");
 
   svc::Server server(std::move(options));
   std::string error;

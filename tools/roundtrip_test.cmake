@@ -141,3 +141,33 @@ foreach(bad connections=-1 connections=0 connections=5000 requests=-1
       "${load_err}")
   endif()
 endforeach()
+# The same for lrb_serve and lrb_batch ("lrb_serve --workers -1" used to
+# ask for ~2^64 threads, "lrb_batch --reps -1" to loop ~2^64 times). The
+# lrb_serve cases name no listener and the lrb_batch cases a missing
+# --corpus, so even a build that accepts the flag exits before it starts
+# a server or a pool.
+foreach(bad workers=-1 workers=5000 reactors=0 reactors=-1 engine-workers=0
+        max-batch=0 max-queue=-1 max-conns=0 tick-delay-ms=-1 tcp=-5
+        tcp=70000 cache-mb=-1 cache-mb=17592186044416)
+  string(REGEX REPLACE "=.*" "" flag "${bad}")
+  execute_process(
+    COMMAND ${LRB_SERVE} --${bad}
+    RESULT_VARIABLE rc ERROR_VARIABLE serve_err OUTPUT_QUIET)
+  if(NOT rc EQUAL 2 OR NOT serve_err MATCHES "--${flag} must be")
+    message(FATAL_ERROR
+      "lrb_serve --${bad}: want exit 2 naming --${flag}, got ${rc}: "
+      "${serve_err}")
+  endif()
+endforeach()
+foreach(bad reps=-1 reps=0 generate=-1 generate=0 seed=-1 workers=1,-1
+        workers=5000 workers=x)
+  string(REGEX REPLACE "=.*" "" flag "${bad}")
+  execute_process(
+    COMMAND ${LRB_BATCH} --${bad} --corpus ${WORK_DIR}/no_such_corpus.lrb
+    RESULT_VARIABLE rc ERROR_VARIABLE batch_err OUTPUT_QUIET)
+  if(NOT rc EQUAL 2 OR NOT batch_err MATCHES "--${flag}")
+    message(FATAL_ERROR
+      "lrb_batch --${bad}: want exit 2 naming --${flag}, got ${rc}: "
+      "${batch_err}")
+  endif()
+endforeach()
