@@ -3,6 +3,8 @@
 // in shuffled order, solved in tick-sized batches — through two otherwise
 // identical BatchSolvers, one with the cache off and one with it on.
 //
+// Both solvers take the engine's one path (canonicalize, solve the
+// canonical instance, map back), so the ratio isolates what the memo adds.
 // Three profiles:
 //
 //   * "ptas": U unique PTAS requests (the multi-millisecond DP solver the
@@ -19,11 +21,14 @@
 // Cached numbers are the warm steady state (min over reps after a cold
 // first pass, reported separately); the interleaved min-over-reps
 // protocol mirrors bench_ptas so scheduler noise on a shared runner
-// degrades both sides of the ratio together. Every unique instance's
-// cached reply is byte-compared against engine::cached_serial_reference
-// on three consecutive sightings (for the unique profile: deferred,
-// admitting miss, hit) before any number is reported: a fast wrong cache
-// must fail the bench, not win it.
+// degrades both sides of the ratio together. A timed sample is a fixed
+// number of consecutive passes per side, chosen per profile so that one
+// sample lasts tens of milliseconds: a single best-of pass takes about a
+// millisecond, too short to time. Times are reported per pass. Every
+// unique instance's cached reply is byte-compared against
+// engine::cached_serial_reference on three consecutive sightings (for the
+// unique profile: deferred, admitting miss, hit) before any number is
+// reported: a fast wrong cache must fail the bench, not win it.
 //
 //   bench_cache                                  # all profiles to stdout
 //   bench_cache --smoke                          # tiny run (ctest bench-smoke)
@@ -66,6 +71,9 @@ struct Workload {
   std::vector<Instance> instances;  // sets * uniques
   std::vector<std::int64_t> ks;     // one move budget per instance
   std::vector<std::size_t> order;   // uniques * repeats, shuffled
+  /// Passes per timed sample on each side.
+  std::size_t uncached_passes = 1;
+  std::size_t cached_passes = 1;
 };
 
 void fill_order(Workload& w) {
@@ -85,6 +93,9 @@ Workload ptas_workload(std::size_t uniques, std::size_t repeats) {
   w.spec = solver::SolverSpec(solver::BackendId::kPtas, {.eps = kPtasEps});
   w.uniques = uniques;
   w.repeats = repeats;
+  // An uncached pass runs the DP 128 times (about a second); a warm pass
+  // is all hits (under a millisecond).
+  w.cached_passes = bench::smoke_cap<std::size_t>(64, 1);
   for (std::uint64_t i = 0; i < uniques; ++i) {
     GeneratorOptions gen;
     gen.num_jobs = 14;
@@ -108,6 +119,7 @@ Workload best_of_workload(std::size_t uniques, std::size_t repeats) {
   w.spec = solver::BackendId::kBestOf;
   w.uniques = uniques;
   w.repeats = repeats;
+  w.uncached_passes = w.cached_passes = bench::smoke_cap<std::size_t>(96, 1);
   for (std::size_t i = 0; i < uniques; ++i) {
     w.instances.push_back(mixed_corpus_instance(i, 0xcac4e));
     w.ks.push_back(std::max<std::int64_t>(
@@ -118,16 +130,19 @@ Workload best_of_workload(std::size_t uniques, std::size_t repeats) {
 }
 
 /// The unique-traffic profile: the serving corpus under best-of, R = 1,
-/// `sets` disjoint instance sets. Canonical duplicates (the corpus's
-/// unit-size families repeat forms across indices) are skipped, so no
-/// request anywhere in the run is a second sighting.
-Workload unique_workload(std::size_t uniques, std::size_t sets) {
+/// one disjoint instance set per pass: the cold pass, every timed pass of
+/// `reps` samples, and the verification set. Canonical duplicates (the
+/// corpus's unit-size families repeat forms across indices) are skipped,
+/// so no request anywhere in the run is a second sighting.
+Workload unique_workload(std::size_t uniques, std::size_t reps) {
   Workload w;
   w.name = "unique";
   w.spec = solver::BackendId::kBestOf;
   w.uniques = uniques;
   w.repeats = 1;
-  w.sets = sets;
+  w.uncached_passes = w.cached_passes = bench::smoke_cap<std::size_t>(4, 1);
+  w.sets = 2 + reps * w.cached_passes;
+  const std::size_t sets = w.sets;
   std::unordered_set<std::string> keys;
   for (std::size_t index = 0; w.instances.size() < uniques * sets; ++index) {
     Instance instance = mixed_corpus_instance(index, 0x0e1c);
@@ -178,6 +193,17 @@ double run_pass(engine::BatchSolver& solver, const Workload& w,
   return timer.seconds();
 }
 
+/// One timed sample: `passes` consecutive passes, pass p over instance set
+/// `first_set + p`. Returns seconds per pass.
+double run_sample(engine::BatchSolver& solver, const Workload& w,
+                  std::size_t first_set, std::size_t passes) {
+  Timer timer;
+  for (std::size_t p = 0; p < passes; ++p) {
+    (void)run_pass(solver, w, first_set + p);
+  }
+  return timer.seconds() / static_cast<double>(passes);
+}
+
 /// Every unique instance of set `set` through the cache-enabled solver
 /// three times in a row (warm hits for the repeated profiles; deferred,
 /// admitting miss and hit for a fresh set) vs the canonical-solve serial
@@ -209,6 +235,8 @@ struct ProfileResult {
   std::size_t uniques = 0;
   std::size_t repeats = 0;
   std::size_t requests = 0;
+  std::size_t uncached_passes = 0;
+  std::size_t cached_passes = 0;
   double uncached_best = 0.0;
   double cold_seconds = 0.0;
   double cached_best = 0.0;
@@ -244,12 +272,13 @@ ProfileResult run_profile(const Workload& w, int reps) {
 
   double uncached_best = 0.0;
   double cached_best = 0.0;
+  const std::size_t stride = std::max(w.uncached_passes, w.cached_passes);
   for (int rep = 0; rep < reps; ++rep) {
     // Interleaved so a load spike degrades both sides of the ratio; both
-    // sides see the same instance set.
-    const auto set = static_cast<std::size_t>(rep) + 1;
-    const double u = run_pass(uncached, w, set);
-    const double c = run_pass(cached, w, set);
+    // sides see the same instance sets.
+    const std::size_t set = 1 + static_cast<std::size_t>(rep) * stride;
+    const double u = run_sample(uncached, w, set, w.uncached_passes);
+    const double c = run_sample(cached, w, set, w.cached_passes);
     if (rep == 0 || u < uncached_best) uncached_best = u;
     if (rep == 0 || c < cached_best) cached_best = c;
   }
@@ -271,8 +300,10 @@ ProfileResult run_profile(const Workload& w, int reps) {
   out.evictions = cached_registry.counter("cache.evictions").value();
   out.admissions_deferred =
       cached_registry.counter("cache.admissions_deferred").value();
-  out.byte_identical =
-      verify_byte_identity(cached, w, static_cast<std::size_t>(reps) + 1);
+  out.uncached_passes = w.uncached_passes;
+  out.cached_passes = w.cached_passes;
+  out.byte_identical = verify_byte_identity(
+      cached, w, 1 + static_cast<std::size_t>(reps) * stride);
   return out;
 }
 
@@ -280,7 +311,8 @@ void print_profile(const ProfileResult& p) {
   const double requests = static_cast<double>(p.requests);
   std::cout << "profile " << p.name << " (" << p.uniques << " uniques x "
             << p.repeats << " repeats = " << p.requests << " requests, tick "
-            << kTick << ")\n"
+            << kTick << "; passes per sample " << p.uncached_passes
+            << " uncached, " << p.cached_passes << " cached)\n"
             << "  uncached:    " << p.uncached_best << " s  ("
             << requests / p.uncached_best << " req/s)\n"
             << "  cached cold: " << p.cold_seconds
@@ -302,6 +334,8 @@ void emit_profile_json(std::ostream& json, const ProfileResult& p) {
        << "    \"unique_instances\": " << p.uniques << ",\n"
        << "    \"repeats\": " << p.repeats << ",\n"
        << "    \"requests\": " << p.requests << ",\n"
+       << "    \"passes_per_sample\": {\"uncached\": " << p.uncached_passes
+       << ", \"cached\": " << p.cached_passes << "},\n"
        << "    \"uncached\": {\"best_seconds\": " << p.uncached_best
        << ", \"requests_per_sec\": " << requests / p.uncached_best << "},\n"
        << "    \"cached_cold\": {\"seconds\": " << p.cold_seconds << "},\n"
@@ -319,7 +353,7 @@ void emit_profile_json(std::ostream& json, const ProfileResult& p) {
 
 int run_bench(const std::string& json_path, double min_speedup) {
   using namespace lrb::bench;
-  const int reps = smoke_cap(3, 1);
+  const int reps = smoke_cap(5, 1);
   const ProfileResult ptas = run_profile(
       ptas_workload(smoke_cap<std::size_t>(8, 3), smoke_cap<std::size_t>(16, 4)),
       reps);
@@ -327,10 +361,9 @@ int run_bench(const std::string& json_path, double min_speedup) {
       best_of_workload(smoke_cap<std::size_t>(12, 4),
                        smoke_cap<std::size_t>(16, 4)),
       reps);
-  // One instance set per pass: cold, the reps, and the verification set.
   const ProfileResult unique = run_profile(
       unique_workload(smoke_cap<std::size_t>(1024, 16),
-                      static_cast<std::size_t>(reps) + 2),
+                      static_cast<std::size_t>(reps)),
       reps);
 
   std::cout << "solution-cache bench (eps=" << kPtasEps << " for ptas, "

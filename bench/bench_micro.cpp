@@ -155,7 +155,7 @@ void BM_SessionArriveDepart(benchmark::State& state) {
   Instance cluster;
   cluster.num_procs = 16;
   stream::TriggerConfig quiet;  // no imbalance or delta-count trigger
-  const stream::SolveFn solve = stream::serial_reference_solver(false);
+  const stream::SolveFn solve = stream::serial_reference_solver();
   for (auto _ : state) {
     std::string error;
     auto session = stream::ClusterSession::open(cluster, quiet, &error);
@@ -189,7 +189,7 @@ void BM_SessionFrame(benchmark::State& state) {
     state.SkipWithError(error.c_str());
     return;
   }
-  const stream::SolveFn solve = stream::serial_reference_solver(false);
+  const stream::SolveFn solve = stream::serial_reference_solver();
   std::deque<std::uint64_t> live;
   for (std::uint64_t id = 0; id < initial.num_jobs(); ++id) {
     live.push_back(id);

@@ -46,7 +46,7 @@ RunMetrics run_trace(const std::vector<lrb::stream::Delta>& trace,
     std::cerr << "bench_online: " << error << "\n";
     std::exit(1);
   }
-  const stream::SolveFn solve = stream::serial_reference_solver(false);
+  const stream::SolveFn solve = stream::serial_reference_solver();
   RunMetrics metrics;
   double sum = 0;
   std::size_t samples = 0;

@@ -63,7 +63,7 @@ int main() {
     std::cerr << "elastic_cluster: " << error << "\n";
     return 1;
   }
-  const SolveFn solve = serial_reference_solver(false);
+  const SolveFn solve = serial_reference_solver();
   std::uint64_t seq = 0;
   std::uint64_t total_moves = 0;
 

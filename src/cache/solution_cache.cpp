@@ -1,9 +1,11 @@
 #include "cache/solution_cache.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <iterator>
+#include <new>
 
 namespace lrb::cache {
 
@@ -12,8 +14,6 @@ SolutionCache::SolutionCache(CacheOptions options)
       misses_(options.metrics->counter("cache.misses")),
       evictions_(options.metrics->counter("cache.evictions")),
       inserts_(options.metrics->counter("cache.inserts")),
-      single_flight_waits_(
-          options.metrics->counter("cache.single_flight_waits")),
       single_flight_bypass_(
           options.metrics->counter("cache.single_flight_bypass")),
       admissions_deferred_(
@@ -35,8 +35,9 @@ SolutionCache::SolutionCache(CacheOptions options)
   const std::size_t buckets = std::bit_ceil(
       std::max(kMinDoorkeeperBuckets,
                options.max_bytes / (kBytesPerDoorkeeperWay * kDoorkeeperWays)));
-  doorkeeper_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(buckets * kDoorkeeperWays);
+  doorkeeper_.reset(static_cast<std::uint64_t*>(
+      std::calloc(buckets * kDoorkeeperWays, sizeof(std::uint64_t))));
+  if (doorkeeper_ == nullptr) throw std::bad_alloc();
   bucket_mask_ = buckets - 1;
 }
 
@@ -50,11 +51,14 @@ bool SolutionCache::admit(std::uint64_t content_hash) {
   // Empty ways hold 0, so tags are forced odd. Every hash in a bucket has
   // the same low bits, so the forced bit merges nothing within it.
   const std::uint64_t tag = content_hash | 1;
-  std::atomic<std::uint64_t>* bucket =
+  std::uint64_t* bucket =
       &doorkeeper_[(content_hash & bucket_mask_) * kDoorkeeperWays];
+  const auto way = [bucket](std::size_t w) {
+    return std::atomic_ref<std::uint64_t>(bucket[w]);
+  };
   std::uint64_t ways[kDoorkeeperWays];
   for (std::size_t w = 0; w < kDoorkeeperWays; ++w) {
-    ways[w] = bucket[w].load(std::memory_order_relaxed);
+    ways[w] = way(w).load(std::memory_order_relaxed);
     if (ways[w] == tag) return true;
   }
   if (resident(content_hash)) return true;
@@ -62,9 +66,9 @@ bool SolutionCache::admit(std::uint64_t content_hash) {
   // drops off the end. Racing writers may lose or duplicate a tag, which
   // only costs an extra solve.
   for (std::size_t w = kDoorkeeperWays - 1; w > 0; --w) {
-    bucket[w].store(ways[w - 1], std::memory_order_relaxed);
+    way(w).store(ways[w - 1], std::memory_order_relaxed);
   }
-  bucket[0].store(tag, std::memory_order_relaxed);
+  way(0).store(tag, std::memory_order_relaxed);
   admissions_deferred_.add(1);
   return false;
 }
@@ -132,110 +136,55 @@ void SolutionCache::insert_locked(Shard& shard, const Fingerprint& fp,
 
 SolutionCache::Probe SolutionCache::lookup_or_begin(const Fingerprint& fp,
                                                     std::string_view key,
-                                                    WaitMode wait) {
+                                                    WaitMode /*wait*/) {
   Shard& shard = shard_for(fp);
-  std::unique_lock lock(shard.mutex);
-  for (;;) {
-    if (const auto it = shard.map.find(fp); it != shard.map.end()) {
-      if (it->second->key == key) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        hits_.add(1);
-        Probe probe;
-        probe.hit = true;
-        probe.result = it->second->result;
-        return probe;
-      }
-      // Fingerprint collision with a different key: miss; the leader path
-      // below will overwrite the colliding entry on publish.
-    }
-    const auto flight = shard.inflight.find(fp);
-    if (flight == shard.inflight.end()) {
-      auto entry = std::make_shared<InFlight>();
-      entry->key.assign(key.data(), key.size());
-      shard.inflight.emplace(fp, std::move(entry));
-      misses_.add(1);
-      Probe probe;
-      probe.leader = true;
-      return probe;
-    }
-    if (flight->second->key != key) {
-      // Collision with someone else's in-flight solve. Never block on a
-      // result that is not ours: solve uncached.
-      misses_.add(1);
-      return Probe{};
-    }
-    // Identical solve in flight.
-    if (wait == WaitMode::kNoBlock) {
-      // The caller may not park (see WaitMode): solve uncached. The
-      // duplicate work is bounded by the leader's publish window and
-      // results stay identical because solves are deterministic.
-      single_flight_bypass_.add(1);
-      misses_.add(1);
-      return Probe{};
-    }
-    single_flight_waits_.add(1);
-    auto handle = flight->second;
-    shard.cv.wait(lock, [&] { return handle->done || handle->cancelled; });
-    if (handle->done) {
+  std::lock_guard lock(shard.mutex);
+  Probe probe;
+  if (const auto it = shard.map.find(fp); it != shard.map.end()) {
+    if (it->second->key == key) {
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       hits_.add(1);
-      Probe probe;
       probe.hit = true;
-      probe.result = handle->result;
+      probe.result = it->second->result;
       return probe;
     }
-    // Leader cancelled: loop and race to become the new leader.
+    // Fingerprint collision with a different key: miss; the leader's
+    // publish overwrites the colliding entry.
   }
+  misses_.add(1);
+  const auto [flight, inserted] =
+      shard.inflight.try_emplace(fp, key.data(), key.size());
+  if (inserted) {
+    probe.leader = true;
+  } else if (flight->second == key) {
+    // The same key is being solved elsewhere: solve it again here rather
+    // than wait. A colliding in-flight key is not ours to wait on either.
+    single_flight_bypass_.add(1);
+  }
+  return probe;
 }
 
 void SolutionCache::publish(const Fingerprint& fp, std::string_view key,
                             const RebalanceResult& result,
                             std::optional<std::uint64_t> content_hash) {
   Shard& shard = shard_for(fp);
-  {
-    std::lock_guard lock(shard.mutex);
-    insert_locked(shard, fp, key, result, content_hash);
-    const auto flight = shard.inflight.find(fp);
-    if (flight != shard.inflight.end() && flight->second->key == key) {
-      flight->second->result = result;
-      flight->second->done = true;
-      shard.inflight.erase(flight);
-    }
-  }
-  shard.cv.notify_all();
+  std::lock_guard lock(shard.mutex);
+  insert_locked(shard, fp, key, result, content_hash);
+  end_flight_locked(shard, fp, key);
 }
 
 void SolutionCache::cancel(const Fingerprint& fp, std::string_view key) {
   Shard& shard = shard_for(fp);
-  {
-    std::lock_guard lock(shard.mutex);
-    const auto flight = shard.inflight.find(fp);
-    if (flight != shard.inflight.end() && flight->second->key == key) {
-      flight->second->cancelled = true;
-      shard.inflight.erase(flight);
-    }
-  }
-  shard.cv.notify_all();
+  std::lock_guard lock(shard.mutex);
+  end_flight_locked(shard, fp, key);
 }
 
-std::optional<RebalanceResult> SolutionCache::lookup(const Fingerprint& fp,
-                                                     std::string_view key) {
-  Shard& shard = shard_for(fp);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.map.find(fp);
-  if (it == shard.map.end() || it->second->key != key) {
-    misses_.add(1);
-    return std::nullopt;
+void SolutionCache::end_flight_locked(Shard& shard, const Fingerprint& fp,
+                                      std::string_view key) {
+  const auto flight = shard.inflight.find(fp);
+  if (flight != shard.inflight.end() && flight->second == key) {
+    shard.inflight.erase(flight);
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.add(1);
-  return it->second->result;
-}
-
-void SolutionCache::insert(const Fingerprint& fp, std::string_view key,
-                           const RebalanceResult& result) {
-  Shard& shard = shard_for(fp);
-  std::lock_guard lock(shard.mutex);
-  insert_locked(shard, fp, key, result, std::nullopt);
 }
 
 std::size_t SolutionCache::bytes() const {

@@ -7,15 +7,17 @@
 // re-verifies the stored key bytes, so a fingerprint collision degrades to
 // a miss instead of serving a wrong or mis-permuted plan.
 //
+// The cache is a memo that never blocks: it only decides whether a solve
+// can be skipped, never what a reply is.
+//
 // Concurrency: N mutex-guarded shards (fingerprint.hi selects the shard);
-// a lookup touches exactly one shard mutex. Concurrent identical misses
-// are single-flighted: the first caller becomes the leader and solves, the
-// rest (under WaitMode::kBlock) block on the shard's condition variable
-// and receive the leader's published result directly — a batch of
-// identical requests racing in from many connections solves exactly once.
-// Callers that must never park — anything running on (or help-draining)
-// a ThreadPool worker, like the engine — probe with WaitMode::kNoBlock
-// and solve uncached instead of waiting; see lookup_or_begin.
+// a probe touches exactly one shard mutex and never waits. The first
+// caller to miss a key becomes its leader and publishes the result.
+// Identical requests that miss while the leader is still solving do not
+// wait for it: each solves the key again, uncached, and gets the same
+// bytes because solves are deterministic. So identical requests racing in
+// from many connections can each pay a solve until the first publish
+// lands; later ones hit.
 //
 // Capacity: max_bytes is divided evenly across shards; each shard evicts
 // from its own LRU tail while over budget. Accounted bytes per entry =
@@ -36,15 +38,14 @@
 // never a wrong reply.
 //
 // Metrics (obs registry): cache.hits, cache.misses, cache.evictions,
-// cache.inserts, cache.single_flight_waits, cache.single_flight_bypass,
-// cache.admissions_deferred counters; cache.bytes, cache.entries gauges.
+// cache.inserts, cache.single_flight_bypass, cache.admissions_deferred
+// counters; cache.bytes, cache.entries gauges.
 
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -77,59 +78,38 @@ class SolutionCache {
   SolutionCache(const SolutionCache&) = delete;
   SolutionCache& operator=(const SolutionCache&) = delete;
 
-  /// Outcome of a single-flight probe.
+  /// Outcome of a probe.
   struct Probe {
-    /// True: `result` holds the cached canonical solution (either from the
-    /// LRU store or handed over by a concurrent leader).
+    /// True: `result` holds the stored canonical solution.
     bool hit = false;
     /// True: this caller is the leader for the key and MUST call publish()
-    /// (or cancel() on failure) exactly once. False with !hit: solve
-    /// without caching (fingerprint collision with an in-flight leader —
-    /// pathological, but never blocks and never shares a wrong result).
+    /// (or cancel() on failure) exactly once. False with !hit: another
+    /// caller is solving the key (or, pathologically, a colliding key), so
+    /// solve without publishing.
     bool leader = false;
     RebalanceResult result;
   };
 
-  /// How a probe treats an identical key already being solved by another
-  /// thread.
-  enum class WaitMode {
-    /// Block on the shard cv until that leader publishes or cancels.
-    kBlock,
-    /// Never block: report a plain miss with no leadership, so the caller
-    /// solves uncached (the leader still publishes for future probes).
-    /// MANDATORY for callers running on — or help-draining tasks of — a
-    /// ThreadPool worker: a leader that help-drains while solving can pop
-    /// a task that would wait on a *different* key's leader, and two such
-    /// leaders waiting on each other's keys is a permanent wait-for cycle.
-    kNoBlock,
-  };
+  /// The one probe mode: never block. The type and the lookup_or_begin
+  /// parameter stay because e2ebench/driver/replay.cpp passes kNoBlock.
+  enum class WaitMode { kNoBlock };
 
-  /// Single-flight probe: hit, leader duty, or (rarely) solve-uncached.
-  /// Under WaitMode::kBlock, blocks while an identical key is being
-  /// solved by another thread; under kNoBlock it never blocks.
+  /// Probe: a hit, leader duty, or a plain miss when the key is already in
+  /// flight. Never blocks.
   [[nodiscard]] Probe lookup_or_begin(const Fingerprint& fp,
                                       std::string_view key,
-                                      WaitMode wait = WaitMode::kBlock);
+                                      WaitMode wait = WaitMode::kNoBlock);
 
-  /// Publishes the leader's result: inserts it into the LRU store (evicting
-  /// while over budget) and wakes every waiter with a copy. With the form's
-  /// `content_hash` (cache::content_hash), admit() passes the form for as
-  /// long as the entry stays in the LRU.
+  /// Inserts `result` into the LRU store (evicting while over budget) and
+  /// ends the key's leadership, if any. With the form's `content_hash`
+  /// (cache::content_hash), admit() passes the form for as long as the
+  /// entry stays in the LRU.
   void publish(const Fingerprint& fp, std::string_view key,
                const RebalanceResult& result,
                std::optional<std::uint64_t> content_hash = std::nullopt);
 
-  /// Abandons leadership without a result; one waiter is promoted to
-  /// leader, the rest keep waiting.
+  /// Abandons leadership without a result, so a later probe can lead.
   void cancel(const Fingerprint& fp, std::string_view key);
-
-  /// Plain probe without single-flight registration (tests, read paths).
-  [[nodiscard]] std::optional<RebalanceResult> lookup(const Fingerprint& fp,
-                                                      std::string_view key);
-
-  /// Plain insert without single-flight (tests, warm-up tooling).
-  void insert(const Fingerprint& fp, std::string_view key,
-              const RebalanceResult& result);
 
   /// Admission: true iff `content_hash` (cache::content_hash) belongs to a
   /// form stored in the LRU or to a recent first sighting, i.e. the caller
@@ -159,24 +139,12 @@ class SolutionCache {
   };
   using LruList = std::list<Entry>;
 
-  /// Single-flight rendezvous for one in-flight key. Waiters hold a
-  /// shared_ptr so a published result survives even if it is evicted
-  /// before they wake.
-  struct InFlight {
-    std::string key;
-    bool done = false;
-    bool cancelled = false;
-    RebalanceResult result;
-  };
-
   struct Shard {
     std::mutex mutex;
-    std::condition_variable cv;
     LruList lru;  ///< front = most recently used
     std::unordered_map<Fingerprint, LruList::iterator, FingerprintHash> map;
-    std::unordered_map<Fingerprint, std::shared_ptr<InFlight>,
-                       FingerprintHash>
-        inflight;
+    /// Keys a leader is solving, by fingerprint.
+    std::unordered_map<Fingerprint, std::string, FingerprintHash> inflight;
     std::size_t bytes = 0;
   };
 
@@ -200,6 +168,9 @@ class SolutionCache {
   [[nodiscard]] bool resident(std::uint64_t content_hash);
   /// Unlinks `it` from the shard's LRU, map, byte count and resident index.
   void erase_locked(Shard& shard, LruList::iterator it);
+  /// Drops `key`'s in-flight marker, if it holds one.
+  void end_flight_locked(Shard& shard, const Fingerprint& fp,
+                         std::string_view key);
   void insert_locked(Shard& shard, const Fingerprint& fp,
                      std::string_view key, const RebalanceResult& result,
                      std::optional<std::uint64_t> content_hash);
@@ -209,15 +180,17 @@ class SolutionCache {
   std::size_t shard_capacity_ = 0;
   std::vector<std::unique_ptr<ResidentShard>> resident_;
   /// Bucket b holds ways [b * kDoorkeeperWays, (b + 1) * kDoorkeeperWays),
-  /// newest first; 0 marks an empty way.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> doorkeeper_;
+  /// newest first; 0 marks an empty way. calloc'd, so its pages cost
+  /// resident memory only once a sighting lands in them; every access goes
+  /// through std::atomic_ref.
+  std::unique_ptr<std::uint64_t[], void (*)(void*)> doorkeeper_{nullptr,
+                                                               &std::free};
   std::size_t bucket_mask_ = 0;
 
   obs::Counter& hits_;
   obs::Counter& misses_;
   obs::Counter& evictions_;
   obs::Counter& inserts_;
-  obs::Counter& single_flight_waits_;
   obs::Counter& single_flight_bypass_;
   obs::Counter& admissions_deferred_;
   obs::Gauge& bytes_gauge_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
+#include <span>
 
 namespace lrb {
 namespace {
@@ -222,6 +224,27 @@ Instance mixed_corpus_instance(std::size_t index, std::uint64_t seed) {
   options.num_jobs = kJobs[tier];
   options.num_procs = kProcs[tier];
   return random_instance(options, seed + index);
+}
+
+Instance relabeled_instance(const Instance& in, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<JobId> job_perm(in.num_jobs());
+  std::vector<ProcId> proc_perm(in.num_procs);
+  std::iota(job_perm.begin(), job_perm.end(), JobId{0});
+  std::iota(proc_perm.begin(), proc_perm.end(), ProcId{0});
+  shuffle(std::span<JobId>(job_perm), rng);
+  shuffle(std::span<ProcId>(proc_perm), rng);
+  Instance out;
+  out.num_procs = in.num_procs;
+  out.sizes.resize(in.num_jobs());
+  out.move_costs.resize(in.num_jobs());
+  out.initial.resize(in.num_jobs());
+  for (std::size_t j = 0; j < in.num_jobs(); ++j) {
+    out.sizes[job_perm[j]] = in.sizes[j];
+    out.move_costs[job_perm[j]] = in.move_costs[j];
+    out.initial[job_perm[j]] = proc_perm[in.initial[j]];
+  }
+  return out;
 }
 
 }  // namespace lrb

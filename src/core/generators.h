@@ -87,6 +87,12 @@ struct KnownOptInstance {
 /// (the equal-size model of Rudolph et al. / Ghosh et al. from the intro).
 [[nodiscard]] Instance unit_instance(const std::vector<std::int64_t>& counts_per_proc);
 
+/// A random job/processor relabeling of `in` (deterministic in `seed`):
+/// the same problem under different labels, which every reply path must
+/// answer with the same plan, relabeled.
+[[nodiscard]] Instance relabeled_instance(const Instance& in,
+                                          std::uint64_t seed);
+
 /// The mixed benchmark corpus shared by lrb_batch and lrb_load: every size
 /// distribution crossed with every placement policy, cycled over three
 /// (jobs, procs) tiers. Deterministic in (index, seed), so a load

@@ -9,12 +9,6 @@
 
 namespace lrb::engine {
 
-RebalanceResult solve_serial_reference(const solver::SolverSpec& spec,
-                                       const Instance& instance,
-                                       std::int64_t k) {
-  return solver::solve_serial(spec, instance, k);
-}
-
 RebalanceResult cached_serial_reference(const solver::SolverSpec& spec,
                                         const Instance& instance,
                                         std::int64_t k) {
@@ -107,29 +101,27 @@ RebalanceResult BatchSolver::solve_canonical(
   // traffic never touches the LRU. The reply is the same canonical solve.
   // An expensive backend's solve outweighs all of that, so it skips the
   // doorkeeper and is cached from its first sighting.
-  if (!solver::descriptor(item.spec.backend).expensive &&
-      !cache_->admit(content_hash)) {
+  if (cache_ == nullptr ||
+      (!solver::descriptor(item.spec.backend).expensive &&
+       !cache_->admit(content_hash))) {
     return solve();
   }
 
   const std::string key =
       cache::encode_cache_key(canon.instance, item.spec, item.k);
   const cache::Fingerprint fp = cache::fingerprint(key);
-  // kNoBlock is load-bearing: this runs on pool workers (solve_items
-  // phase 2) and on threads whose run_item help-drains nested
-  // parallel_for tasks. Parking either on the single-flight cv can
-  // deadlock — a leader help-draining another tick's probe task would
-  // wait on that key's leader, which may be waiting on ours. A duplicate
-  // in-flight key therefore solves uncached instead of waiting.
-  auto probe = cache_->lookup_or_begin(
-      fp, key, cache::SolutionCache::WaitMode::kNoBlock);
+  // The probe never blocks, so pool workers and threads help-draining
+  // nested parallel_for tasks cannot wait on one another. A key another
+  // thread is already solving is solved again here, uncached; solves are
+  // deterministic, so both replies carry the same bytes.
+  auto probe = cache_->lookup_or_begin(fp, key);
   if (probe.hit) return std::move(probe.result);
 
   RebalanceResult result;
   try {
     result = solve();
   } catch (...) {
-    // Never strand single-flight waiters: hand leadership to one of them.
+    // Release the key so a later probe can lead its solve.
     if (probe.leader) cache_->cancel(fp, key);
     throw;
   }
@@ -142,9 +134,10 @@ RebalanceResult BatchSolver::solve_item(const TickItem& item) {
   return std::move(results.front());
 }
 
-std::vector<RebalanceResult> BatchSolver::solve_items_cached(
+std::vector<RebalanceResult> BatchSolver::solve_items(
     std::span<const TickItem> items, std::vector<double>* latencies_ms) {
   using Clock = std::chrono::steady_clock;
+  batch_counter_.add(1);
   const std::size_t n = items.size();
   std::vector<RebalanceResult> results(n);
   if (latencies_ms != nullptr) latencies_ms->assign(n, 0.0);
@@ -216,30 +209,6 @@ std::vector<RebalanceResult> BatchSolver::solve_items_cached(
     const double ms =
         rep[i] == i ? canon_ms[i] + solve_ms[i] : canon_ms[i];
     if (rep[i] != i) solve_latency_ms_.record(ms);
-    if (latencies_ms != nullptr) (*latencies_ms)[i] = ms;
-  });
-  return results;
-}
-
-std::vector<RebalanceResult> BatchSolver::solve_items(
-    std::span<const TickItem> items, std::vector<double>* latencies_ms) {
-  batch_counter_.add(1);
-  if (cache_ != nullptr) return solve_items_cached(items, latencies_ms);
-  std::vector<RebalanceResult> results(items.size());
-  if (latencies_ms != nullptr) {
-    latencies_ms->assign(items.size(), 0.0);
-  }
-  parallel_for(pool_, 0, items.size(), [&](std::size_t i) {
-    const auto begin = std::chrono::steady_clock::now();
-    {
-      ScratchLease lease(*this);
-      results[i] = run_item(lease.get(), items[i]);
-    }
-    const auto end = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(end - begin).count();
-    solved_counter_.add(1);
-    solve_latency_ms_.record(ms);
     if (latencies_ms != nullptr) (*latencies_ms)[i] = ms;
   });
   return results;

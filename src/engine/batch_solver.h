@@ -9,13 +9,20 @@
 // contains no per-algorithm dispatch — it only supplies the pool and the
 // scratch arenas to the registry's solve().
 //
+// One path for every item: canonicalize (cache/canonical.h), look the
+// canonical form up in the solution cache when one is configured, solve
+// the canonical instance, and map the plan back to the caller's labels.
+// A reply is therefore a function of the instance's content alone: a
+// relabeled instance gets the relabeled plan, whether the cache is on or
+// off, cold or warm.
+//
 // Determinism contract: for a fixed (instances, ks, spec) input, solve()
-// returns results byte-identical to calling the serial entry points one
-// instance at a time, for every worker count and across repeated runs.
-// Both intra-instance parallel paths are bit-identical to their serial
-// counterparts by construction (see m_partition.h / ptas.h), and
-// inter-instance parallelism never reorders results: slot i of the output
-// is always instance i's result.
+// returns results byte-identical to cached_serial_reference applied one
+// instance at a time, for every worker count, cache budget and across
+// repeated runs. Both intra-instance parallel paths are bit-identical to
+// their serial counterparts by construction (see m_partition.h /
+// ptas.h), and inter-instance parallelism never reorders results: slot i
+// of the output is always instance i's result.
 
 #pragma once
 
@@ -38,19 +45,13 @@
 
 namespace lrb::engine {
 
-/// The serial reference every concurrent path is checked against: the
-/// registry's serial entry point for `spec` (no pool, no arenas). Shared
-/// by lrb_batch --check, lrb_load --check and the tests.
-[[nodiscard]] RebalanceResult solve_serial_reference(
-    const solver::SolverSpec& spec, const Instance& instance, std::int64_t k);
-
-/// The serial reference for every CACHE-ENABLED path: canonicalize, solve
-/// the canonical instance serially, and map the plan back through the
-/// recorded permutations (docs/caching.md). The cache-enabled engine is
-/// byte-identical to this — on a cold miss and on a warm hit alike — so
-/// checkers compare against it whenever the cache is on. For an instance
-/// that is already in canonical form it coincides with
-/// solve_serial_reference.
+/// The serial reference every engine, server, session, chaos and fuzz
+/// reply is checked against: canonicalize, solve the canonical instance
+/// with the registry's serial entry point (no pool, no arenas), and map
+/// the plan back through the recorded permutations (docs/caching.md).
+/// The engine is byte-identical to this with the cache off, on a cold
+/// miss and on a warm hit alike. For an instance already in canonical
+/// form it coincides with solver::solve_serial.
 [[nodiscard]] RebalanceResult cached_serial_reference(
     const solver::SolverSpec& spec, const Instance& instance, std::int64_t k);
 
@@ -71,11 +72,10 @@ struct BatchOptions {
   /// the process-wide registry; tests and embedding servers may pass their
   /// own. Never read on a path that affects results.
   obs::Registry* metrics = &obs::Registry::global();
-  /// Byte budget for the canonicalizing solution cache; 0 disables it.
-  /// With the cache on, every solve goes canonicalize → admit → probe →
-  /// (solve canonical on a first sighting or a miss) → map back, so
-  /// results are byte-identical to cached_serial_reference whether they
-  /// were deferred, cold or warm. Also sizes the admission doorkeeper.
+  /// Byte budget for the solution cache; 0 disables it. The cache is a
+  /// memo between canonicalize and the canonical solve (admit → probe →
+  /// solve on a first sighting or a miss), so it changes no reply bytes.
+  /// Also sizes the admission doorkeeper. Exposed by lrb_serve --cache-mb.
   std::size_t cache_bytes = 0;
   /// Shard count for the solution cache (rounded up to a power of two).
   std::size_t cache_shards = 8;
@@ -93,10 +93,10 @@ class BatchSolver {
   /// Solves instance i with move budget ks[i] (ks.size() must equal
   /// instances.size()). Slot i of the returned vector is instance i's
   /// result. When `latencies_ms` is non-null it is resized and filled with
-  /// each instance's wall-clock solve latency in milliseconds. With the
-  /// cache enabled, items deduplicated within the batch report only their
-  /// own canonicalization time; the shared solve is attributed to the
-  /// first item with that key.
+  /// each instance's wall-clock solve latency in milliseconds. Items
+  /// deduplicated within the batch (same canonical form, spec and k)
+  /// report only their own canonicalization time; the shared solve is
+  /// attributed to the first item with that key.
   [[nodiscard]] std::vector<RebalanceResult> solve(
       const std::vector<Instance>& instances,
       const std::vector<std::int64_t>& ks,
@@ -121,14 +121,11 @@ class BatchSolver {
   /// One-item tick with per-item parameters: the streaming-session replan
   /// entry (svc session handlers run it inline on their reactor thread).
   /// Identical to solve_items over a single-element span, so it carries
-  /// the same determinism contract and the same cache-awareness; a
-  /// one-item tick runs on the calling thread (intra-instance parallelism
-  /// still uses the pool for large instances).
+  /// the same determinism contract; a one-item tick runs on the calling
+  /// thread (intra-instance parallelism still uses the pool for large
+  /// instances).
   [[nodiscard]] RebalanceResult solve_item(const TickItem& item);
 
-  [[nodiscard]] bool cache_enabled() const noexcept {
-    return cache_ != nullptr;
-  }
   /// The embedded solution cache, or nullptr when cache_bytes == 0.
   [[nodiscard]] cache::SolutionCache* solution_cache() noexcept {
     return cache_.get();
@@ -155,18 +152,14 @@ class BatchSolver {
   /// leased arenas, plus a debug-build makespan recheck.
   [[nodiscard]] RebalanceResult run_item(Scratch& scratch,
                                          const TickItem& item);
-  /// Admit-then-probe-or-solve for one canonicalized item; returns the
-  /// result in CANONICAL labels. A form SolutionCache::admit turns away
-  /// (a first sighting) solves without touching the LRU. Admitted items
-  /// probe with WaitMode::kNoBlock — this runs on (or help-drains into)
-  /// pool workers, which must never park on the single-flight cv — so a
-  /// key another thread is already solving is solved uncached here rather
-  /// than waited for.
+  /// Solves one canonicalized item and returns the result in CANONICAL
+  /// labels. With a cache, a form SolutionCache::admit turns away (a first
+  /// sighting) solves without touching the LRU, and an admitted form is
+  /// probed first; the probe never blocks, so a key another thread is
+  /// already solving is solved again here rather than waited for.
   [[nodiscard]] RebalanceResult solve_canonical(
       const TickItem& item, const cache::CanonicalInstance& canon,
       std::uint64_t content_hash);
-  [[nodiscard]] std::vector<RebalanceResult> solve_items_cached(
-      std::span<const TickItem> items, std::vector<double>* latencies_ms);
 
   BatchOptions options_;
   ThreadPool pool_;

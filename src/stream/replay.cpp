@@ -4,27 +4,25 @@
 
 namespace lrb::stream {
 
-SolveFn serial_reference_solver(bool cached) {
-  if (cached) {
-    return [](const Instance& instance, std::int64_t k,
-              const solver::SolverSpec& spec) {
-      return engine::cached_serial_reference(spec, instance, k);
-    };
-  }
+SolveFn serial_reference_solver() {
   return [](const Instance& instance, std::int64_t k,
             const solver::SolverSpec& spec) {
-    return engine::solve_serial_reference(spec, instance, k);
+    return engine::cached_serial_reference(spec, instance, k);
   };
+}
+
+SolveFn serial_reference_solver(bool /*cached*/) {
+  return serial_reference_solver();
 }
 
 ReplayResult replay_serial_reference(const Instance& initial,
                                      const TriggerConfig& config,
                                      std::span<const Delta> deltas,
-                                     const ReplayOptions& options) {
+                                     const ReplayOptions& /*options*/) {
   ReplayResult result;
   auto session = ClusterSession::open(initial, config, &result.error);
   if (!session) return result;
-  const SolveFn solve = serial_reference_solver(options.cached);
+  const SolveFn solve = serial_reference_solver();
   result.open_makespan = session->makespan();
   result.open_lower_bound = session->lower_bound();
   result.open_digest = session->digest();

@@ -3,7 +3,7 @@
 // through a ClusterSession wired to the engine's serial reference solver,
 // so every plan a concurrent multi-reactor server streams — and every
 // post-apply session state digest — is byte-comparable to this function's
-// output. The streaming analogue of engine::solve_serial_reference.
+// output. The streaming analogue of engine::cached_serial_reference.
 
 #pragma once
 
@@ -18,15 +18,16 @@
 
 namespace lrb::stream {
 
-/// The solve hook the reference uses: engine::solve_serial_reference, or
-/// engine::cached_serial_reference when `cached` is set (checkers pass the
-/// cache-enabledness of the server under test). Also handed to reference
-/// mirrors that step a session incrementally (svc::run_session_stream).
+/// The solve hook the reference uses: engine::cached_serial_reference,
+/// which every server replan equals whatever its cache budget. Also handed
+/// to reference mirrors that step a session incrementally
+/// (svc::run_session_stream).
+[[nodiscard]] SolveFn serial_reference_solver();
+/// Kept for e2ebench/, which passes `true`; the flag is ignored.
 [[nodiscard]] SolveFn serial_reference_solver(bool cached);
 
 struct ReplayOptions {
-  /// Compare against the cache-enabled reference
-  /// (engine::cached_serial_reference) instead of the plain serial one.
+  /// Kept for e2ebench/, which sets it; ignored (there is one reference).
   bool cached = false;
 };
 

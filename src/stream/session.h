@@ -17,7 +17,7 @@
 // ratio, delta count, or an explicit Replan delta), the session plans a
 // bounded-move repair through a caller-supplied solve function (the
 // server wires engine::BatchSolver here; the replay reference wires
-// engine::solve_serial_reference / cached_serial_reference) and applies
+// engine::cached_serial_reference) and applies
 // only the resulting *move diff*.
 //
 // Determinism contract: ClusterSession is a pure function of

@@ -41,7 +41,7 @@ class ServerRunner {
     server_options.engine.workers = options.engine_workers;
     server_options.reactors = options.reactors;
     server_options.engine_workers = options.tick_workers;
-    server_options.cache_bytes = options.cache_bytes;
+    server_options.engine.cache_bytes = options.cache_bytes;
     server_ = std::make_unique<Server>(std::move(server_options));
     std::string error;
     started_ = server_->start(&error);
@@ -149,14 +149,10 @@ void run_client_phase(const CampaignOptions& options, std::size_t client,
     ledger.record(spec.id, "ok");
     completed.fetch_add(1, std::memory_order_relaxed);
     if (options.check) {
-      // With the cache on, every reply — cold solve or warm hit, before or
-      // after a restart — must match the canonical-solve reference.
-      const auto reference =
-          options.cache_bytes > 0
-              ? engine::cached_serial_reference(
-                    spec.request.spec, spec.request.instance, spec.request.k)
-              : engine::solve_serial_reference(
-                    spec.request.spec, spec.request.instance, spec.request.k);
+      // Every reply — cold solve or warm hit, before or after a restart —
+      // must match the canonical-solve reference.
+      const auto reference = engine::cached_serial_reference(
+          spec.request.spec, spec.request.instance, spec.request.k);
       if (outcome->raw_payload != encode_solve_reply_payload(reference)) {
         ledger.error("request " + std::to_string(spec.id) +
                      ": reply differs from serial reference");
@@ -235,7 +231,6 @@ CampaignResult run_stream_campaign(const CampaignOptions& options) {
       run.session_id = s + 1;
       run.frame_size = 6;
       run.check = options.check;
-      run.cached = options.cache_bytes > 0;
       run.metrics = &client_registry;
       run.io = injectors[s].get();
       runs[s] = run_session_stream(log, run);

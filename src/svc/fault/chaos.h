@@ -16,10 +16,10 @@
 //   * every request reaches exactly one outcome (zero lost, zero
 //     duplicated in-flight requests, across retries, resets and drains);
 //   * every completed Solve reply is byte-identical to
-//     engine::solve_serial_reference on the same instance — or, with
-//     cache_bytes set, to engine::cached_serial_reference, proving the
-//     solution cache never serves a stale or mis-permuted reply no matter
-//     which faults, retries or re-solves happened in between;
+//     engine::cached_serial_reference on the same instance, with the
+//     solution cache on or off, proving the cache never serves a stale or
+//     mis-permuted reply no matter which faults, retries or re-solves
+//     happened in between;
 //   * no client ever gives up (the plan caps total disruptions, so
 //     bounded retry must always get through).
 //
@@ -62,9 +62,9 @@ struct CampaignOptions {
   /// ticks while the byte-identity check stays in force.
   std::size_t tick_workers = 1;
   /// Solution cache budget for the server under test; 0 = cache off.
-  /// With a cache, `check` compares against cached_serial_reference (and a
-  /// restart additionally proves a cold cache answers identically to the
-  /// warm one it replaced).
+  /// `check` compares against cached_serial_reference either way; with a
+  /// cache, a restart also proves a cold cache answers identically to the
+  /// warm one it replaced.
   std::size_t cache_bytes = 0;
   /// Per-request retry policy; jitter_seed is re-derived from the
   /// campaign seed per client.

@@ -36,9 +36,6 @@ engine::BatchOptions engine_options_for(const ServerOptions& options) {
       options.metrics != &obs::Registry::global()) {
     engine.metrics = options.metrics;
   }
-  if (options.cache_bytes > 0) {
-    engine.cache_bytes = options.cache_bytes;
-  }
   return engine;
 }
 

@@ -52,14 +52,11 @@
 // ordered after every reply on its connection. Zero dropped in-flight
 // requests, across all reactors.
 //
-// Determinism: replies are byte-identical to the serial entry points
-// (engine::solve_serial_reference) regardless of batching composition or
-// concurrency — per-reactor framing, tick coalescing, and concurrent ticks
-// cannot change any reply, because BatchSolver guarantees exactly that per
-// instance. With the solution cache enabled (cache_bytes > 0) the
-// reference is engine::cached_serial_reference instead — still a pure
-// function of the request, identical on cold misses and warm hits
-// (docs/caching.md).
+// Determinism: replies are byte-identical to engine::cached_serial_reference
+// regardless of batching composition, concurrency or the solution cache
+// budget — per-reactor framing, tick coalescing, concurrent ticks and cache
+// hits cannot change any reply, because BatchSolver guarantees exactly that
+// per instance (docs/caching.md).
 
 #pragma once
 
@@ -91,14 +88,10 @@ struct ServerOptions {
   int tcp_port = -1;
   std::string tcp_bind = "127.0.0.1";
 
-  engine::BatchOptions engine;  ///< pool size, default algo params, metrics
-
-  /// Byte budget for the engine's canonicalizing solution cache
-  /// (docs/caching.md); 0 leaves it to engine.cache_bytes (default: off).
-  /// Cache hits skip the solver entirely and replies stay byte-identical
-  /// to engine::cached_serial_reference. Exposed by lrb_serve --cache-mb;
-  /// cache.* counters/gauges appear in the Stats JSON snapshot.
-  std::size_t cache_bytes = 0;
+  /// Pool size, default algo params, metrics, and the solution cache
+  /// budget (engine.cache_bytes, lrb_serve --cache-mb; cache.* metrics
+  /// appear in the Stats JSON snapshot).
+  engine::BatchOptions engine;
 
   /// Event-loop shards: each reactor thread owns its own poll loop,
   /// self-pipe, and connection table; the acceptor deals new connections

@@ -41,7 +41,7 @@ StreamRunResult run_session_stream(const stream::DeltaLog& log,
       result.error = "reference open failed: " + open_error;
       return result;
     }
-    reference_solve = stream::serial_reference_solver(options.cached);
+    reference_solve = stream::serial_reference_solver();
   }
 
   ResilientClient client(options.endpoint, options.retry, options.metrics,

@@ -2,7 +2,9 @@
 // lrb_load --trace, the stream service tests and the chaos campaigns all
 // use to stream a delta log at a server over the wire-v2 session protocol
 // and (optionally) byte-compare every ack against
-// stream::replay_serial_reference.
+// stream::replay_serial_reference. Every server replans through the same
+// canonical solve whatever its cache budget, so the check takes no server
+// setting.
 //
 // Each session call goes through ResilientClient::call (svc/retry_client.h)
 // with its own request id, reused by every retry of that call. A retry is
@@ -41,10 +43,6 @@ struct StreamRunOptions {
   /// Byte-compare every ack (open, each delta frame, stats, close) against
   /// the locally mirrored stream::replay_serial_reference transcript.
   bool check = true;
-  /// Mirror with engine::cached_serial_reference instead of
-  /// solve_serial_reference — must match the server's cache_bytes setting
-  /// (docs/caching.md), exactly like lrb_load --check.
-  bool cached = false;
   obs::Registry* metrics = &obs::Registry::global();
   fault::SocketIo* io = &fault::SocketIo::real();
 };

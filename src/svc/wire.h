@@ -49,7 +49,7 @@
 //
 // Determinism: every reply codec is a pure function of its struct, so
 // "reply payload byte-identical to the serial reference" is a meaningful
-// contract for both one-shot Solves (engine::solve_serial_reference,
+// contract for both one-shot Solves (engine::cached_serial_reference,
 // checked by lrb_load --check and tests/test_svc) and streamed sessions
 // (stream::replay_serial_reference, checked by lrb_stream --check and
 // tests/test_stream_svc).

@@ -35,16 +35,12 @@ std::string Flags::get_or(const std::string& key,
   return get(key).value_or(fallback);
 }
 
-std::int64_t Flags::get_int(const std::string& key, std::int64_t fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  return std::strtoll(v->c_str(), nullptr, 10);
-}
-
 std::int64_t Flags::get_int_in(const std::string& key, std::int64_t fallback,
                               std::int64_t lo, std::int64_t hi,
                               std::string* error) const {
-  const std::int64_t value = get_int(key, fallback);
+  const auto text = get(key);
+  const std::int64_t value =
+      text ? std::strtoll(text->c_str(), nullptr, 10) : fallback;
   if ((value < lo || value > hi) && error->empty()) {
     *error = "--" + key + " must be in [" + std::to_string(lo) + ", " +
              std::to_string(hi) + "]";

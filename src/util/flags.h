@@ -19,13 +19,12 @@ class Flags {
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
   [[nodiscard]] std::string get_or(const std::string& key,
                                    const std::string& fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                     std::int64_t fallback) const;
-  /// get_int() checked against [lo, hi] on the signed value, so a count
-  /// can then be cast to an unsigned type without wrapping ("--n -1"
-  /// would otherwise become ~2^64). Out of range, it records
-  /// "--key must be in [lo, hi]" in *error unless an earlier flag already
-  /// did, and returns the value clamped into range.
+  /// The integer value of --key (or `fallback` when absent), checked
+  /// against [lo, hi] on the signed value, so a count can then be cast to
+  /// an unsigned type without wrapping ("--n -1" would otherwise become
+  /// ~2^64). Out of range, it records "--key must be in [lo, hi]" in
+  /// *error unless an earlier flag already did, and returns the value
+  /// clamped into range. There is no unchecked integer getter.
   [[nodiscard]] std::int64_t get_int_in(const std::string& key,
                                         std::int64_t fallback,
                                         std::int64_t lo, std::int64_t hi,

@@ -25,7 +25,7 @@ inline constexpr std::uint16_t kWireVersionV2 = 2;
 inline constexpr char kStatsSchema[] = "lrb-stats-v1";
 
 /// Schema tags of the committed machine-readable bench baselines.
-inline constexpr char kEngineBenchSchema[] = "lrb-engine-bench-v1";
+inline constexpr char kEngineBenchSchema[] = "lrb-engine-bench-v2";
 inline constexpr char kPtasBenchSchema[] = "lrb-ptas-bench-v1";
 inline constexpr char kSvcBenchSchema[] = "lrb-svc-bench-v1";
 /// Wrapper schema of bench/BENCH_svc.json: one lrb-svc-bench-v1 report per
@@ -34,7 +34,7 @@ inline constexpr char kSvcBenchSchema[] = "lrb-svc-bench-v1";
 inline constexpr char kSvcBenchProfilesSchema[] = "lrb-svc-bench-v2";
 /// v2 adds hardware_concurrency, build_type, the "unique" profile and the
 /// inserts / admissions_deferred cache counters.
-inline constexpr char kCacheBenchSchema[] = "lrb-cache-bench-v2";
+inline constexpr char kCacheBenchSchema[] = "lrb-cache-bench-v3";
 
 /// CMAKE_BUILD_TYPE of this build ("unknown" when not configured by CMake),
 /// for bench baselines to record next to their numbers.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/analysis.h"
 #include "core/generators.h"
 #include "util/flags.h"
@@ -66,7 +68,9 @@ TEST(Flags, ParsesPairsEqualsAndBooleans) {
   const char* argv[] = {"tool",      "--jobs", "50",     "--dist=zipf",
                         "input.lrb", "--verbose", "--eps", "0.25"};
   const Flags flags(8, argv);
-  EXPECT_EQ(flags.get_int("jobs", 0), 50);
+  std::string error;
+  EXPECT_EQ(flags.get_int_in("jobs", 0, 0, 100, &error), 50);
+  EXPECT_TRUE(error.empty());
   EXPECT_EQ(flags.get_or("dist", ""), "zipf");
   EXPECT_TRUE(flags.has("verbose"));
   EXPECT_EQ(flags.get_or("verbose", ""), "true");
@@ -79,7 +83,9 @@ TEST(Flags, DefaultsWhenAbsent) {
   const char* argv[] = {"tool"};
   const Flags flags(1, argv);
   EXPECT_FALSE(flags.get("anything").has_value());
-  EXPECT_EQ(flags.get_int("k", 7), 7);
+  std::string error;
+  EXPECT_EQ(flags.get_int_in("k", 7, 0, 10, &error), 7);
+  EXPECT_TRUE(error.empty());
   EXPECT_EQ(flags.get_or("algo", "greedy"), "greedy");
   EXPECT_TRUE(flags.positional().empty());
 }
@@ -88,7 +94,9 @@ TEST(Flags, NegativeNumbersAsValues) {
   const char* argv[] = {"tool", "--offset", "-3"};
   const Flags flags(3, argv);
   // "-3" does not start with "--", so it binds as the value.
-  EXPECT_EQ(flags.get_int("offset", 0), -3);
+  std::string error;
+  EXPECT_EQ(flags.get_int_in("offset", 0, -5, 5, &error), -3);
+  EXPECT_TRUE(error.empty());
 }
 
 TEST(Flags, KeysEnumerated) {

@@ -2,8 +2,8 @@
 // docs/caching.md): canonicalization is idempotent and invariant under
 // job/processor relabeling, fingerprints separate canonically distinct
 // instances, permutation mapping round-trips exactly, the sharded LRU
-// evicts in recency order with exact byte accounting, single-flight
-// collapses concurrent identical misses to one solve, admission keeps
+// evicts in recency order with exact byte accounting, a probe never
+// waits on a key another caller is solving, admission keeps
 // first sightings out of the LRU, and the cache-enabled engine stays
 // byte-identical to cached_serial_reference.
 //
@@ -72,6 +72,15 @@ std::vector<ProcId> random_proc_perm(ProcId m, Rng& rng) {
   std::iota(perm.begin(), perm.end(), ProcId{0});
   shuffle(std::span<ProcId>(perm), rng);
   return perm;
+}
+
+/// True iff `key` is stored. A miss hands back the leadership it took, so
+/// the probe changes nothing but the counters and the LRU order.
+bool stored(SolutionCache& cache, const Fingerprint& fp,
+            const std::string& key) {
+  const auto probe = cache.lookup_or_begin(fp, key);
+  if (probe.leader) cache.cancel(fp, key);
+  return probe.hit;
 }
 
 std::string canonical_key(const Instance& instance) {
@@ -221,7 +230,7 @@ TEST(CacheCanonical, MappingRoundTripsAndPreservesAccounting) {
         std::max<std::int64_t>(1, static_cast<std::int64_t>(
                                       instance.num_jobs() / 8));
     const RebalanceResult canonical =
-        engine::solve_serial_reference(BackendId::kBestOf, canon.instance, k);
+        solver::solve_serial(BackendId::kBestOf, canon.instance, k);
     const RebalanceResult mapped = cache::map_to_original(canon, canonical);
 
     // The mapped plan is a valid assignment of the ORIGINAL instance whose
@@ -248,8 +257,8 @@ TEST(CacheLru, EvictsInRecencyOrderWithExactByteAccounting) {
   obs::Registry registry;
   const Instance instance = corpus_instance(3);
   const CanonicalInstance canon = cache::canonicalize(instance);
-  const RebalanceResult result = engine::solve_serial_reference(
-      BackendId::kGreedy, canon.instance, 4);
+  const RebalanceResult result =
+      solver::solve_serial(BackendId::kGreedy, canon.instance, 4);
 
   const auto key_for = [&](std::int64_t k) {
     return cache::encode_cache_key(canon.instance, BackendId::kGreedy, k);
@@ -268,7 +277,7 @@ TEST(CacheLru, EvictsInRecencyOrderWithExactByteAccounting) {
     return cache::fingerprint(key_for(k));
   };
   for (std::int64_t k = 0; k < 3; ++k) {
-    cache.insert(fp_for(k), key_for(k), result);
+    cache.publish(fp_for(k), key_for(k), result);
   }
   EXPECT_EQ(cache.entries(), 3u);
   EXPECT_EQ(cache.bytes(), 3 * per_entry);
@@ -277,17 +286,17 @@ TEST(CacheLru, EvictsInRecencyOrderWithExactByteAccounting) {
   EXPECT_EQ(registry.gauge("cache.entries").value(), 3);
 
   // Touch key 0 so key 1 is now the LRU tail; the next insert evicts 1.
-  EXPECT_TRUE(cache.lookup(fp_for(0), key_for(0)).has_value());
-  cache.insert(fp_for(3), key_for(3), result);
+  EXPECT_TRUE(stored(cache, fp_for(0), key_for(0)));
+  cache.publish(fp_for(3), key_for(3), result);
   EXPECT_EQ(cache.entries(), 3u);
   EXPECT_EQ(registry.counter("cache.evictions").value(), 1u);
-  EXPECT_FALSE(cache.lookup(fp_for(1), key_for(1)).has_value());
-  EXPECT_TRUE(cache.lookup(fp_for(0), key_for(0)).has_value());
-  EXPECT_TRUE(cache.lookup(fp_for(2), key_for(2)).has_value());
-  EXPECT_TRUE(cache.lookup(fp_for(3), key_for(3)).has_value());
+  EXPECT_FALSE(stored(cache, fp_for(1), key_for(1)));
+  EXPECT_TRUE(stored(cache, fp_for(0), key_for(0)));
+  EXPECT_TRUE(stored(cache, fp_for(2), key_for(2)));
+  EXPECT_TRUE(stored(cache, fp_for(3), key_for(3)));
 
   // Re-inserting an existing key refreshes in place: no growth, no eviction.
-  cache.insert(fp_for(3), key_for(3), result);
+  cache.publish(fp_for(3), key_for(3), result);
   EXPECT_EQ(cache.entries(), 3u);
   EXPECT_EQ(cache.bytes(), 3 * per_entry);
   EXPECT_EQ(registry.counter("cache.evictions").value(), 1u);
@@ -298,7 +307,7 @@ TEST(CacheLru, EvictsInRecencyOrderWithExactByteAccounting) {
   tiny.max_bytes = per_entry - 1;
   tiny.metrics = &registry;
   SolutionCache small(tiny);
-  small.insert(fp_for(0), key_for(0), result);
+  small.publish(fp_for(0), key_for(0), result);
   EXPECT_EQ(small.entries(), 0u);
   EXPECT_EQ(small.bytes(), 0u);
 }
@@ -311,8 +320,8 @@ TEST(CacheLru, HitVerifiesFullKeyBytesNotJustTheFingerprint) {
 
   const Instance instance = corpus_instance(5);
   const CanonicalInstance canon = cache::canonicalize(instance);
-  const RebalanceResult result = engine::solve_serial_reference(
-      BackendId::kGreedy, canon.instance, 2);
+  const RebalanceResult result =
+      solver::solve_serial(BackendId::kGreedy, canon.instance, 2);
   const std::string key_a =
       cache::encode_cache_key(canon.instance, BackendId::kGreedy, 2);
   const std::string key_b =
@@ -321,9 +330,9 @@ TEST(CacheLru, HitVerifiesFullKeyBytesNotJustTheFingerprint) {
 
   // Deliberately look key_b up under key_a's fingerprint (a simulated
   // 128-bit collision): the stored key bytes differ, so it must miss.
-  cache.insert(fp, key_a, result);
-  EXPECT_TRUE(cache.lookup(fp, key_a).has_value());
-  EXPECT_FALSE(cache.lookup(fp, key_b).has_value());
+  cache.publish(fp, key_a, result);
+  EXPECT_TRUE(stored(cache, fp, key_a));
+  EXPECT_FALSE(stored(cache, fp, key_b));
 
   // Same collision against an in-flight leader: the prober is told to
   // solve uncached (no hit, no leadership, no blocking).
@@ -352,110 +361,21 @@ TEST(CacheSingleFlight, NoBlockProbeNeverWaitsOnALeader) {
   const auto leader = cache.lookup_or_begin(fp, key);
   ASSERT_TRUE(leader.leader);
 
-  // With a leader in flight, a kNoBlock probe for the SAME key must
-  // return immediately with neither a hit nor leadership — the engine
-  // depends on this to never park a pool worker on the cv.
+  // With a leader in flight, a probe for the SAME key must return
+  // immediately with neither a hit nor leadership — the engine depends on
+  // this to never park a pool worker.
   const auto bypass =
       cache.lookup_or_begin(fp, key, SolutionCache::WaitMode::kNoBlock);
   EXPECT_FALSE(bypass.hit);
   EXPECT_FALSE(bypass.leader);
   EXPECT_EQ(registry.counter("cache.single_flight_bypass").value(), 1u);
-  EXPECT_EQ(registry.counter("cache.single_flight_waits").value(), 0u);
 
-  // Once the leader publishes, kNoBlock probes hit like any other.
+  // Once the leader publishes, probes hit.
   cache.publish(fp, key,
-                engine::solve_serial_reference(BackendId::kGreedy,
-                                               canon.instance, 4));
+                solver::solve_serial(BackendId::kGreedy, canon.instance, 4));
   const auto hit =
       cache.lookup_or_begin(fp, key, SolutionCache::WaitMode::kNoBlock);
   EXPECT_TRUE(hit.hit);
-}
-
-TEST(CacheSingleFlight, ConcurrentIdenticalMissesSolveExactlyOnce) {
-  obs::Registry registry;
-  cache::CacheOptions options;
-  options.metrics = &registry;
-  SolutionCache cache(options);
-
-  const Instance instance = corpus_instance(7);
-  const CanonicalInstance canon = cache::canonicalize(instance);
-  const std::string key =
-      cache::encode_cache_key(canon.instance, BackendId::kBestOf, 5);
-  const Fingerprint fp = cache::fingerprint(key);
-
-  constexpr int kThreads = 16;
-  constexpr int kRounds = 8;
-  std::atomic<int> solves{0};
-  for (int round = 0; round < kRounds; ++round) {
-    std::atomic<int> ready{0};
-    std::vector<std::thread> threads;
-    std::vector<RebalanceResult> results(kThreads);
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        ready.fetch_add(1);
-        while (ready.load() < kThreads) {
-        }
-        const auto slot = static_cast<std::size_t>(t);
-        for (;;) {
-          auto probe = cache.lookup_or_begin(fp, key);
-          if (probe.hit) {
-            results[slot] = std::move(probe.result);
-            return;
-          }
-          if (!probe.leader) continue;  // collision path: retry
-          solves.fetch_add(1);
-          const RebalanceResult solved = engine::solve_serial_reference(
-              BackendId::kBestOf, canon.instance, 5);
-          cache.publish(fp, key, solved);
-          results[slot] = solved;
-          return;
-        }
-      });
-    }
-    for (auto& thread : threads) thread.join();
-    for (std::size_t t = 1; t < results.size(); ++t) {
-      ASSERT_EQ(results[t].assignment, results[0].assignment);
-    }
-  }
-  // The first round has exactly one leader; later rounds are pure hits.
-  EXPECT_EQ(solves.load(), 1);
-  EXPECT_EQ(registry.counter("cache.inserts").value(), 1u);
-  EXPECT_GE(registry.counter("cache.hits").value(),
-            static_cast<std::uint64_t>(kThreads * kRounds - 1));
-}
-
-TEST(CacheSingleFlight, CancelledLeaderPromotesAWaiter) {
-  SolutionCache cache;
-  const Instance instance = corpus_instance(9);
-  const CanonicalInstance canon = cache::canonicalize(instance);
-  const std::string key =
-      cache::encode_cache_key(canon.instance, BackendId::kGreedy, 3);
-  const Fingerprint fp = cache::fingerprint(key);
-
-  auto first = cache.lookup_or_begin(fp, key);
-  ASSERT_TRUE(first.leader);
-
-  std::atomic<int> solves{0};
-  std::vector<std::thread> waiters;
-  for (int t = 0; t < 4; ++t) {
-    waiters.emplace_back([&] {
-      for (;;) {
-        auto probe = cache.lookup_or_begin(fp, key);
-        if (probe.hit) return;
-        if (!probe.leader) continue;
-        solves.fetch_add(1);
-        cache.publish(fp, key, engine::solve_serial_reference(
-                                   BackendId::kGreedy, canon.instance, 3));
-        return;
-      }
-    });
-  }
-  // The original leader fails; exactly one waiter must take over and
-  // everyone else must drain via its published result.
-  cache.cancel(fp, key);
-  for (auto& thread : waiters) thread.join();
-  EXPECT_EQ(solves.load(), 1);
 }
 
 TEST(CacheEngine, CachedSolvesAreByteIdenticalColdAndWarm) {
@@ -465,7 +385,7 @@ TEST(CacheEngine, CachedSolvesAreByteIdenticalColdAndWarm) {
   options.cache_bytes = std::size_t{8} << 20;
   options.metrics = &registry;
   engine::BatchSolver solver(options);
-  ASSERT_TRUE(solver.cache_enabled());
+  ASSERT_NE(solver.solution_cache(), nullptr);
 
   std::vector<Instance> instances;
   std::vector<std::int64_t> ks;
@@ -565,12 +485,12 @@ TEST(CacheEngine, BatchDedupSolvesIdenticalItemsOnce) {
 }
 
 TEST(CacheEngine, ConcurrentTicksSharingKeysNeverDeadlock) {
-  // Regression for a wait-for cycle: a single-flight leader whose solve
-  // enters a nested parallel_for help-drains the pool queue, and could
-  // pop ANOTHER tick's probe task — which then parked on a different
+  // Regression for a wait-for cycle: a leader whose solve enters a nested
+  // parallel_for help-drains the pool queue, and could pop ANOTHER tick's
+  // probe task — which, when probes could block, parked on a different
   // key's leader, itself blocked the same way on the first key. Two
-  // concurrent ticks sharing two duplicate keys could hang forever. The
-  // engine now probes with WaitMode::kNoBlock, so this hammer — ticks
+  // concurrent ticks sharing two duplicate keys could hang forever. Probes
+  // never block now, so this hammer — ticks
   // racing over the same key set from several threads, with every solve
   // forced through the nested intra-instance parallel path — must always
   // terminate, every reply byte-identical to the cached reference.
@@ -670,7 +590,8 @@ TEST(CacheEngine, DedupKeysDistinguishAlgoAndPtasParameters) {
 
 TEST(CacheEngine, ManyThreadsHammeringTheSolverStayConsistent) {
   // TSan target: concurrent solve_item calls over a small instance pool
-  // exercise probe / single-flight / publish / eviction from many threads.
+  // exercise probe / in-flight bypass / publish / eviction from many
+  // threads.
   obs::Registry registry;
   engine::BatchOptions options;
   options.workers = 2;
@@ -805,8 +726,8 @@ TEST(CacheAdmission, AStoredFormIsAdmittedUntilItsEntryIsEvicted) {
   obs::Registry registry;
   const Instance instance = corpus_instance(3);
   const CanonicalInstance canon = cache::canonicalize(instance);
-  const RebalanceResult result = engine::solve_serial_reference(
-      BackendId::kGreedy, canon.instance, 4);
+  const RebalanceResult result =
+      solver::solve_serial(BackendId::kGreedy, canon.instance, 4);
   const auto key_for = [&](std::int64_t k) {
     return cache::encode_cache_key(canon.instance, BackendId::kGreedy, k);
   };
@@ -830,18 +751,18 @@ TEST(CacheAdmission, AStoredFormIsAdmittedUntilItsEntryIsEvicted) {
   }
   EXPECT_TRUE(cache.admit(in_bucket(0)));
   EXPECT_TRUE(
-      cache.lookup(cache::fingerprint(key_for(0)), key_for(0)).has_value());
+      stored(cache, cache::fingerprint(key_for(0)), key_for(0)));
   // Re-publishing refreshes the entry without double-counting it.
   cache.publish(cache::fingerprint(key_for(0)), key_for(0), result,
                 in_bucket(0));
   EXPECT_TRUE(cache.admit(in_bucket(0)));
 
   // Two newer entries evict it; from then on it is a first sighting again.
-  cache.insert(cache::fingerprint(key_for(1)), key_for(1), result);
-  cache.insert(cache::fingerprint(key_for(2)), key_for(2), result);
+  cache.publish(cache::fingerprint(key_for(1)), key_for(1), result);
+  cache.publish(cache::fingerprint(key_for(2)), key_for(2), result);
   ASSERT_EQ(registry.counter("cache.evictions").value(), 1u);
   EXPECT_FALSE(
-      cache.lookup(cache::fingerprint(key_for(0)), key_for(0)).has_value());
+      stored(cache, cache::fingerprint(key_for(0)), key_for(0)));
   EXPECT_FALSE(cache.admit(in_bucket(0)));
 }
 
@@ -993,7 +914,7 @@ TEST(CacheAdmission, IdenticalFirstSightingsInOneTickSolveOnce) {
 }
 
 TEST(CacheAdmission, ManyThreadsMixingUniqueAndRepeatedKeys) {
-  // TSan target: the doorkeeper's relaxed slots, single-flight and publish
+  // TSan target: the doorkeeper's relaxed slots, in-flight keys and publish
   // raced from many threads, with unique keys (never cached) interleaved
   // with a small repeated set. Every reply is byte-checked.
   AdmissionFixture f;

@@ -163,7 +163,7 @@ TEST(Chaos, MultiReactorCampaignRidesAcrossServerRestart) {
 
 TEST(Chaos, MultiReactorCacheEnabledCampaignStaysByteIdentical) {
   // Reactor sharding + concurrent ticks + the canonicalizing cache: the
-  // single-flight and permutation paths now race across engine workers,
+  // in-flight and permutation paths now race across engine workers,
   // and the reference is cached_serial_reference for every reply.
   CampaignOptions options;
   options.seed = 0xcac4e4;
@@ -488,7 +488,7 @@ Counters read_counters(obs::Registry& metrics) {
 ScriptedReply solve_ok() {
   const SolveRequest request = small_request(0);
   return {MsgType::kSolveOk,
-          encode_solve_reply_payload(engine::solve_serial_reference(
+          encode_solve_reply_payload(engine::cached_serial_reference(
               request.spec, request.instance, request.k)),
           false};
 }

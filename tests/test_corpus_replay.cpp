@@ -3,7 +3,8 @@
 //
 //   * each *.lrb file — a fuzz-style minimized repro — goes through the
 //     full differential harness: every roster algorithm certified, every
-//     proven ratio respected;
+//     proven ratio respected; and through the engine, with the cache on
+//     and off, where every reply must equal cached_serial_reference;
 //   * each seed in chaos_seeds.txt is re-fought as a complete chaos
 //     campaign: seeded fault injection around a real server with
 //     byte-identical replies and zero lost/duplicated requests;
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "check/differential.h"
+#include "core/generators.h"
 #include "core/io.h"
 #include "engine/batch_solver.h"
 #include "obs/metrics.h"
@@ -164,6 +166,56 @@ TEST(CorpusReplay, EveryInstanceReproThroughTheCachePath) {
   EXPECT_EQ(registry.counter("cache.admissions_deferred").value(), keys);
   EXPECT_EQ(registry.counter("cache.inserts").value(), keys);
   EXPECT_EQ(registry.counter("cache.hits").value(), keys);
+}
+
+TEST(CorpusReplay, EngineAnswersEveryReproIdenticallyWithCacheOnAndOff) {
+  // One reply function: a cache-off engine and a cache-on engine both
+  // answer each repro, as written and relabeled, with exactly
+  // cached_serial_reference.
+  obs::Registry registry;
+  engine::BatchOptions plain_options;
+  plain_options.workers = 2;
+  plain_options.metrics = &registry;
+  engine::BatchOptions cached_options = plain_options;
+  cached_options.cache_bytes = std::size_t{4} << 20;
+  engine::BatchSolver plain(plain_options);
+  engine::BatchSolver cached(cached_options);
+
+  const auto files = corpus_files(".lrb");
+  ASSERT_FALSE(files.empty());
+  for (const auto& path : files) {
+    SCOPED_TRACE(path.filename().string());
+    const std::string text = slurp(path);
+    bool found_k = false;
+    const DifferentialOptions repro = parse_repro_options(text, &found_k);
+    ASSERT_TRUE(found_k);
+    std::string error;
+    const auto written = instance_from_string(text, &error);
+    ASSERT_TRUE(written) << error;
+    const Instance relabeled = relabeled_instance(*written, 17);
+    for (const Instance* instance : {&*written, &relabeled}) {
+      for (const auto backend :
+           {solver::BackendId::kGreedy, solver::BackendId::kMPartition,
+            solver::BackendId::kBestOf, solver::BackendId::kLpt,
+            solver::BackendId::kLocalSearch}) {
+        const RebalanceResult want =
+            engine::cached_serial_reference(backend, *instance, repro.k);
+        const engine::BatchSolver::TickItem item{instance, repro.k, backend};
+        for (engine::BatchSolver* solver : {&plain, &cached, &cached}) {
+          const RebalanceResult got = solver->solve_item(item);
+          const std::string label =
+              std::string(solver::backend_name(backend)) +
+              (solver == &plain ? " cache off" : " cache on") +
+              (instance == &relabeled ? " relabeled" : "");
+          EXPECT_EQ(got.assignment, want.assignment) << label;
+          EXPECT_EQ(got.makespan, want.makespan) << label;
+          EXPECT_EQ(got.moves, want.moves) << label;
+          EXPECT_EQ(got.cost, want.cost) << label;
+          EXPECT_EQ(got.threshold, want.threshold) << label;
+        }
+      }
+    }
+  }
 }
 
 TEST(CorpusReplay, EveryStreamTranscript) {

@@ -1,8 +1,10 @@
 // Determinism suite for the parallel batch-solving engine (src/engine).
 //
 // The contract under test: BatchSolver::solve is byte-identical to running
-// the serial entry points one instance at a time, for every worker count,
-// across repeated runs, and per generator family; and the intra-instance
+// the serial entry points on the canonical instance and mapping the plan
+// back (engine::cached_serial_reference), one instance at a time, for
+// every worker count, across repeated runs, and per generator family;
+// and the intra-instance
 // parallel scans (chunked M-PARTITION, wave-parallel PTAS) reproduce their
 // serial counterparts exactly, statistics included.
 
@@ -15,6 +17,7 @@
 #include "algo/greedy.h"
 #include "algo/m_partition.h"
 #include "algo/ptas.h"
+#include "cache/canonical.h"
 #include "core/assignment.h"
 #include "core/generators.h"
 #include "core/instance.h"
@@ -141,6 +144,16 @@ RebalanceResult serial_reference(BackendId backend, const Instance& instance,
   return ptas_rebalance(instance, options).result;
 }
 
+/// What the engine answers: the library entry point on the canonical
+/// instance, mapped back to the caller's labels.
+RebalanceResult canonical_reference(BackendId backend,
+                                    const Instance& instance,
+                                    std::int64_t k) {
+  const cache::CanonicalInstance canon = cache::canonicalize(instance);
+  return cache::map_to_original(canon,
+                                serial_reference(backend, canon.instance, k));
+}
+
 TEST(BatchSolver, MatchesSerialAcrossWorkerCountsAndRuns) {
   const auto corpus = family_corpus();
   std::vector<Instance> instances;
@@ -153,7 +166,7 @@ TEST(BatchSolver, MatchesSerialAcrossWorkerCountsAndRuns) {
                             BackendId::kBestOf}) {
     std::vector<RebalanceResult> expected;
     for (const auto& c : corpus) {
-      expected.push_back(serial_reference(backend, c.instance, c.k));
+      expected.push_back(canonical_reference(backend, c.instance, c.k));
     }
     for (std::size_t workers : {std::size_t{1}, std::size_t{2},
                                 std::size_t{8}}) {
@@ -189,7 +202,7 @@ TEST(BatchSolver, ForcedIntraParallelPathStaysIdentical) {
   std::vector<RebalanceResult> expected;
   for (const auto& c : corpus) {
     expected.push_back(
-        serial_reference(BackendId::kMPartition, c.instance, c.k));
+        canonical_reference(BackendId::kMPartition, c.instance, c.k));
   }
   BatchOptions options;
   options.workers = 4;
@@ -220,7 +233,10 @@ TEST(BatchSolver, PtasMatchesSerial) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     instances.push_back(random_instance(gen, seed));
     ks.push_back(3);
-    expected.push_back(ptas_rebalance(instances.back(), ptas).result);
+    const cache::CanonicalInstance canon =
+        cache::canonicalize(instances.back());
+    expected.push_back(cache::map_to_original(
+        canon, ptas_rebalance(canon.instance, ptas).result));
   }
   for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     BatchOptions options;
@@ -289,7 +305,7 @@ TEST(BatchSolver, ManyMoreWorkersThanInstances) {
   ASSERT_EQ(results.size(), 2u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     expect_same(results[i],
-                serial_reference(BackendId::kBestOf, instances[i], ks[i]),
+                canonical_reference(BackendId::kBestOf, instances[i], ks[i]),
                 "workers>>instances i=" + std::to_string(i));
   }
 }
@@ -318,8 +334,8 @@ TEST(BatchSolver, SolveItemsMixesAlgosWithinOneTick) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     EXPECT_GE(latencies[i], 0.0);
     expect_same(results[i],
-                serial_reference(items[i].spec.backend, corpus[i].instance,
-                                 corpus[i].k),
+                canonical_reference(items[i].spec.backend,
+                                    corpus[i].instance, corpus[i].k),
                 "solve_items mixed i=" + std::to_string(i));
   }
 }
@@ -331,9 +347,9 @@ TEST(BatchSolver, SerialReferenceMatchesLibraryEntryPoints) {
   for (BackendId backend : {BackendId::kGreedy, BackendId::kMPartition,
                             BackendId::kBestOf}) {
     for (const auto& c : corpus) {
-      expect_same(engine::solve_serial_reference(backend, c.instance, c.k),
-                  serial_reference(backend, c.instance, c.k),
-                  std::string("solve_serial_reference ") +
+      expect_same(engine::cached_serial_reference(backend, c.instance, c.k),
+                  canonical_reference(backend, c.instance, c.k),
+                  std::string("cached_serial_reference ") +
                       solver::backend_name(backend) + " " + c.name);
     }
   }

@@ -379,7 +379,7 @@ TEST(SvcFaultRegression, ServerSendSurvivesEintr) {
   const auto outcome = client->solve(request, 9, &error);
   ASSERT_TRUE(outcome) << error;
   ASSERT_TRUE(outcome->result);
-  const auto reference = engine::solve_serial_reference(
+  const auto reference = engine::cached_serial_reference(
       request.spec, request.instance, request.k);
   EXPECT_EQ(outcome->raw_payload, encode_solve_reply_payload(reference));
 }
@@ -411,7 +411,7 @@ TEST(SvcFaultRegression, ServerFramesSurviveByteAtATimeIo) {
   const auto outcome = client->solve(request, 77, &error);
   ASSERT_TRUE(outcome) << error;
   ASSERT_TRUE(outcome->result);
-  const auto reference = engine::solve_serial_reference(
+  const auto reference = engine::cached_serial_reference(
       request.spec, request.instance, request.k);
   EXPECT_EQ(outcome->raw_payload, encode_solve_reply_payload(reference));
 }

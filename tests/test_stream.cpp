@@ -55,7 +55,7 @@ ClusterSession must_open(const Instance& initial,
 StepResult must_apply(ClusterSession& session, const Delta& delta,
                       std::uint64_t seq) {
   const StepResult result =
-      session.step(delta, seq, serial_reference_solver(false));
+      session.step(delta, seq, serial_reference_solver());
   EXPECT_TRUE(result.applied) << result.error;
   return result;
 }
@@ -63,7 +63,7 @@ StepResult must_apply(ClusterSession& session, const Delta& delta,
 StepResult must_reject(ClusterSession& session, const Delta& delta,
                        std::uint64_t seq) {
   const StepResult result =
-      session.step(delta, seq, serial_reference_solver(false));
+      session.step(delta, seq, serial_reference_solver());
   EXPECT_FALSE(result.applied);
   EXPECT_FALSE(result.error.empty());
   return result;
@@ -570,27 +570,6 @@ TEST(StreamReplay, IsDeterministicAcrossRuns) {
   EXPECT_GT(a.final_stats.deltas_applied, 0u);
 }
 
-TEST(StreamReplay, CachedReferenceMatchesThePlainOne) {
-  // The solution cache is proven byte-identical to the serial solver
-  // (docs/caching.md), so the cached replay must produce the exact same
-  // transcript — this is what lets one checker serve both server modes.
-  const DeltaLog log = sample_log(12, 100);
-  const ReplayResult plain =
-      replay_serial_reference(log.initial, log.trigger, log.deltas, {});
-  ReplayOptions cached;
-  cached.cached = true;
-  const ReplayResult with_cache =
-      replay_serial_reference(log.initial, log.trigger, log.deltas, cached);
-  ASSERT_TRUE(plain.ok) << plain.error;
-  ASSERT_TRUE(with_cache.ok) << with_cache.error;
-  ASSERT_EQ(plain.steps.size(), with_cache.steps.size());
-  for (std::size_t i = 0; i < plain.steps.size(); ++i) {
-    EXPECT_EQ(plain.steps[i].digest, with_cache.steps[i].digest)
-        << "step " << i;
-  }
-  EXPECT_EQ(plain.final_stats.digest, with_cache.final_stats.digest);
-}
-
 TEST(StreamReplay, RejectionsArePartOfTheTranscript) {
   DeltaLog log;
   log.initial = small_instance();
@@ -760,7 +739,7 @@ TEST(StreamDigest, ChangesWithEveryStateField) {
 /// against a rebuild from the resulting state.
 void step_and_check_digest(ClusterSession& session, const Delta& delta,
                            std::uint64_t seq, StepResult* result) {
-  *result = session.step(delta, seq, serial_reference_solver(false));
+  *result = session.step(delta, seq, serial_reference_solver());
   ASSERT_EQ(session.digest(), session.rebuilt_digest())
       << "seq " << seq << " (" << delta_kind_name(delta.kind) << " "
       << delta.id << ")";

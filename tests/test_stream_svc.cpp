@@ -45,7 +45,7 @@ class StreamServer {
     options.reactors = reactors;
     options.engine_workers = 2;
     options.engine.workers = 2;
-    options.cache_bytes = cache_bytes;
+    options.engine.cache_bytes = cache_bytes;
     server_ = std::make_unique<Server>(std::move(options));
     std::string error;
     if (!server_->start(&error)) {
@@ -202,7 +202,6 @@ TEST(SessionService, CacheEnabledServerStreamsIdenticalBytes) {
   run.session_id = 9;
   run.frame_size = 6;
   run.check = true;
-  run.cached = true;  // mirror with cached_serial_reference
   const StreamRunResult result = run_session_stream(log, run);
   EXPECT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.mismatches, 0u);

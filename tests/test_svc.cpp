@@ -1,9 +1,10 @@
 // Loopback tests for the rebalancing service (src/svc): wire protocol
 // round-trips, framing robustness (partial reads/writes, oversized and
 // malformed headers), the determinism contract (every SolveOk payload
-// byte-identical to the serial solver), deadline/overload shedding,
-// graceful drain (Drain request and SIGTERM), and metrics agreement
-// between the server's registry and client-observed counts. The
+// byte-identical to the serial reference, cache on or off),
+// deadline/overload shedding, graceful drain (Drain request and SIGTERM),
+// and metrics agreement between the server's registry and
+// client-observed counts. The
 // MultiReactor suite covers the sharded front-end: round-robin connection
 // distribution, per-reactor counter reconciliation, and drain/SIGTERM with
 // an in-flight request on every reactor.
@@ -27,6 +28,7 @@
 #include "core/generators.h"
 #include "engine/batch_solver.h"
 #include "obs/metrics.h"
+#include "solver/registry.h"
 #include "svc/client.h"
 #include "svc/server.h"
 #include "svc/wire.h"
@@ -160,7 +162,7 @@ TEST(Wire, SolveRequestRejectsCorruption) {
 
 TEST(Wire, SolveReplyRoundTripIsExact) {
   const SolveRequest request = sample_request(7);
-  const RebalanceResult result = engine::solve_serial_reference(
+  const RebalanceResult result = engine::cached_serial_reference(
       request.spec, request.instance, request.k);
   const std::string payload = encode_solve_reply_payload(result);
   std::string error;
@@ -270,7 +272,7 @@ class TestServer {
 };
 
 std::string expected_reply_payload(const SolveRequest& request) {
-  return encode_solve_reply_payload(engine::solve_serial_reference(
+  return encode_solve_reply_payload(engine::cached_serial_reference(
       request.spec, request.instance, request.k));
 }
 
@@ -292,9 +294,37 @@ TEST(SvcLoopback, PingEchoesPayloadAndRequestId) {
 }
 
 TEST(SvcLoopback, SolveRepliesAreByteIdenticalToSerialAcrossAlgos) {
-  TestServer ts;
-  Client client = ts.connect();
+  // One reply function: a cache-off server and a cache-on server answer
+  // every request with the same bytes, engine::cached_serial_reference,
+  // for instances as sent (not canonical) and randomly relabeled. The
+  // cache-on server sees each form three times (first sighting, admitted
+  // miss, hit through the relabeling).
+  ServerOptions cached_options;
+  cached_options.engine.cache_bytes = std::size_t{4} << 20;
+  TestServer plain;
+  TestServer cached(std::move(cached_options));
+  Client plain_client = plain.connect();
+  Client cached_client = cached.connect();
   std::uint64_t id = 1;
+  std::size_t label_dependent = 0;
+  const auto expect_served = [&](const SolveRequest& request, int times,
+                                 const std::string& label) {
+    const std::string want = expected_reply_payload(request);
+    if (want != encode_solve_reply_payload(solver::solve_serial(
+                    request.spec, request.instance, request.k))) {
+      ++label_dependent;
+    }
+    for (int t = 0; t < times; ++t) {
+      for (Client* client : {&plain_client, &cached_client}) {
+        std::string error;
+        const auto outcome = client->solve(request, id++, &error);
+        ASSERT_TRUE(outcome) << error;
+        ASSERT_TRUE(outcome->result) << "unexpected server error";
+        EXPECT_EQ(outcome->raw_payload, want)
+            << label << (client == &plain_client ? " cache off" : " cache on");
+      }
+    }
+  };
   for (const solver::BackendId backend :
        {solver::BackendId::kGreedy, solver::BackendId::kMPartition,
         solver::BackendId::kBestOf, solver::BackendId::kLpt,
@@ -302,12 +332,11 @@ TEST(SvcLoopback, SolveRepliesAreByteIdenticalToSerialAcrossAlgos) {
     for (std::size_t i = 0; i < 6; ++i) {
       SolveRequest request = sample_request(i);
       request.spec = backend;
-      std::string error;
-      const auto outcome = client.solve(request, id++, &error);
-      ASSERT_TRUE(outcome) << error;
-      ASSERT_TRUE(outcome->result) << "unexpected server error";
-      EXPECT_EQ(outcome->raw_payload, expected_reply_payload(request))
-          << solver::backend_name(backend) << " i=" << i;
+      const std::string label = std::string(solver::backend_name(backend)) +
+                                " i=" + std::to_string(i);
+      expect_served(request, 2, label);
+      request.instance = relabeled_instance(request.instance, 1000 + i);
+      expect_served(request, 1, label + " relabeled");
     }
   }
   // The small PTAS case rides the same contract.
@@ -320,11 +349,12 @@ TEST(SvcLoopback, SolveRepliesAreByteIdenticalToSerialAcrossAlgos) {
   ptas.k = 3;
   ptas.spec.params.budget = 10;
   ptas.spec.params.eps = 0.5;
-  std::string error;
-  const auto outcome = client.solve(ptas, id++, &error);
-  ASSERT_TRUE(outcome) << error;
-  ASSERT_TRUE(outcome->result);
-  EXPECT_EQ(outcome->raw_payload, expected_reply_payload(ptas));
+  expect_served(ptas, 2, "ptas");
+  ptas.instance = relabeled_instance(ptas.instance, 7);
+  expect_served(ptas, 1, "ptas relabeled");
+  // The inputs discriminate: a server that solved the instance as sent
+  // would fail on these.
+  EXPECT_GT(label_dependent, 0u);
 }
 
 TEST(SvcLoopback, ConcurrentClientsStayDeterministic) {

@@ -50,8 +50,8 @@ SolveRequest sample_solve_request() {
 
 RebalanceResult sample_result() {
   const SolveRequest request = sample_solve_request();
-  return engine::solve_serial_reference(request.spec, request.instance,
-                                        request.k);
+  return engine::cached_serial_reference(request.spec, request.instance,
+                                         request.k);
 }
 
 SessionOpenRequest sample_session_open() {

@@ -16,12 +16,14 @@
 //   --k-frac F (0.25)    per-instance move budget = max(1, floor(F * n))
 //   --workers LIST (1,0) comma-separated pool sizes to run; 0 = hardware
 //   --reps R (3)         timed repetitions per pool size (best rep reported)
-//   --check              also re-solve serially and require equal results
+//   --check              also re-solve serially (cached_serial_reference)
+//                        and require equal results
 //   --min-speedup X      exit 1 unless best-config throughput >= X times
 //                        the 1-worker throughput (requires 1 in --workers)
-//   --json FILE          write lrb-engine-bench-v1 results
-//   --ptas-eps E (1.0)   --ptas-budget B (unlimited)   solver parameters
-//                        (only read by backends that use them, e.g. ptas)
+//   --json FILE          write lrb-engine-bench-v2 results
+//   --ptas-eps E (1.0)   --ptas-budget B (unlimited; 0 <= B < 2^61)
+//                        solver parameters (only read by backends that use
+//                        them, e.g. ptas)
 //
 // Results must be byte-identical across every worker configuration; the
 // tool exits 1 (and says so) whenever they are not. Out-of-range numeric
@@ -139,10 +141,11 @@ int main(int argc, char** argv) {
       worker_list.push_back(static_cast<std::size_t>(workers));
     }
   }
+  spec.params.budget =
+      flags.get_int_in("ptas-budget", kInfCost, 0, kInfCost, &flag_error);
   if (!flag_error.empty()) return bad_flag(flag_error);
   if (worker_list.empty()) return fail("--workers list is empty");
   spec.params.eps = flags.get_double("ptas-eps", 1.0);
-  spec.params.budget = flags.get_int("ptas-budget", kInfCost);
   if (const auto problem = solver::validate_spec(spec)) {
     return fail(*problem);
   }
@@ -229,7 +232,7 @@ int main(int argc, char** argv) {
               << " p99=" << fmt(record.latency.p99) << "\n";
   }
 
-  // ---- Optional serial cross-check against the library entry points.
+  // ---- Optional serial cross-check against the one reply function.
   // Every mismatch counts (first few are printed); any mismatch makes the
   // tool exit non-zero after the JSON baseline is still written, so CI
   // gets both the failure and the evidence. ----
@@ -237,12 +240,12 @@ int main(int argc, char** argv) {
   if (flags.has("check")) {
     for (std::size_t i = 0; i < instances.size(); ++i) {
       const RebalanceResult serial =
-          engine::solve_serial_reference(spec, instances[i], ks[i]);
+          engine::cached_serial_reference(spec, instances[i], ks[i]);
       if (!results_equal(serial, reference[i])) {
         ++check_mismatches;
         if (check_mismatches <= 10) {
-          std::cerr << "lrb_batch: engine result differs from the serial "
-                       "entry point at instance "
+          std::cerr << "lrb_batch: engine result differs from "
+                       "cached_serial_reference at instance "
                     << i << "\n";
         }
       }
@@ -283,6 +286,7 @@ int main(int argc, char** argv) {
         << ", \"k_frac\": " << fmt(k_frac) << "},\n";
     out << "  \"hardware_concurrency\": "
         << std::thread::hardware_concurrency() << ",\n";
+    out << "  \"build_type\": \"" << build_type() << "\",\n";
     out << "  \"reps\": " << reps << ",\n";
     out << "  \"runs\": [\n";
     for (std::size_t i = 0; i < runs.size(); ++i) {

@@ -5,7 +5,7 @@
 // FaultInjector, fires resilient clients at it through client-side
 // injectors, and asserts the full resilience contract: every request gets
 // exactly one outcome, every completed reply is byte-identical to
-// engine::solve_serial_reference, and no client gives up. Every fault
+// engine::cached_serial_reference, and no client gives up. Every fault
 // schedule is a pure function of the campaign seed, so any failure this
 // tool reports replays with:
 //
@@ -40,15 +40,20 @@
 //                          server mid-campaign (0 = never)
 //   --seed-list CSV        run exactly these campaign seeds (decimal or
 //                          0x-hex, comma-separated); overrides --campaigns
-//   --check                byte-compare every reply vs the serial solver
+//   --check                byte-compare every reply vs the serial reference
 //   --smoke                CI preset: 8 campaigns x 2 clients x 4 requests
 //   --verbose              print each campaign's fault plans
 //   --version              print version/schema info and exit
 //
-// Exits nonzero iff any campaign failed.
+// Exit status is 2 for an out-of-range flag value (--campaigns and
+// --requests in [1, 10^6]; --clients, --reactors and --tick-workers in
+// [1, 1024]; --restart-every in [0, 10^6]; --campaign-index and --seed
+// >= 0), checked before any server starts. Otherwise it is nonzero iff
+// any campaign failed.
 
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,9 +65,20 @@
 
 namespace {
 
+// Upper bounds for the count flags: each client (and each server thread)
+// is an OS thread, and campaigns run one after another.
+constexpr std::int64_t kMaxThreads = 1024;
+constexpr std::int64_t kMaxCount = 1'000'000;
+
 int fail(const std::string& message) {
   std::cerr << "lrb_chaos: " << message << "\n";
   return 1;
+}
+
+/// A flag value out of range: exit 2, before any server starts.
+int bad_flag(const std::string& message) {
+  std::cerr << "lrb_chaos: " << message << "\n";
+  return 2;
 }
 
 bool parse_seed_list(const std::string& text,
@@ -103,22 +119,26 @@ int main(int argc, char** argv) {
   }
 
   const bool smoke = flags.has("smoke");
-  std::int64_t campaigns = flags.get_int("campaigns", smoke ? 8 : 50);
-  const std::int64_t clients = flags.get_int("clients", 2);
-  const std::int64_t requests = flags.get_int("requests", smoke ? 4 : 8);
-  const std::int64_t restart_every = flags.get_int("restart-every", 4);
-  const std::int64_t first_index = flags.get_int("campaign-index", 0);
-  const std::int64_t reactors = flags.get_int("reactors", 1);
-  const std::int64_t tick_workers = flags.get_int("tick-workers", 1);
-  const auto base_seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  if (campaigns < 1) return fail("--campaigns must be >= 1");
-  if (clients < 1) return fail("--clients must be >= 1");
-  if (requests < 1) return fail("--requests must be >= 1");
-  if (reactors < 1) return fail("--reactors must be >= 1");
-  if (tick_workers < 1) return fail("--tick-workers must be >= 1");
-  if (restart_every < 0) return fail("--restart-every must be >= 0");
-  if (first_index < 0) return fail("--campaign-index must be >= 0");
+  // The first bad flag is reported once everything is read.
+  std::string flag_error;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t campaigns = flags.get_int_in(
+      "campaigns", smoke ? 8 : 50, 1, kMaxCount, &flag_error);
+  const std::int64_t clients =
+      flags.get_int_in("clients", 2, 1, kMaxThreads, &flag_error);
+  const std::int64_t requests = flags.get_int_in(
+      "requests", smoke ? 4 : 8, 1, kMaxCount, &flag_error);
+  const std::int64_t restart_every =
+      flags.get_int_in("restart-every", 4, 0, kMaxCount, &flag_error);
+  const std::int64_t first_index =
+      flags.get_int_in("campaign-index", 0, 0, kMax - kMaxCount, &flag_error);
+  const std::int64_t reactors =
+      flags.get_int_in("reactors", 1, 1, kMaxThreads, &flag_error);
+  const std::int64_t tick_workers =
+      flags.get_int_in("tick-workers", 1, 1, kMaxThreads, &flag_error);
+  const auto base_seed = static_cast<std::uint64_t>(
+      flags.get_int_in("seed", 1, 0, kMax, &flag_error));
+  if (!flag_error.empty()) return bad_flag(flag_error);
 
   solver::SolverSpec spec;
   const std::string algo_text = flags.get_or("algo", "best-of");

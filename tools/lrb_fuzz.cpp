@@ -11,7 +11,10 @@
 // over the whole algorithm roster, and certifies every result. On a
 // violation the instance is minimized with the delta-debugging shrinker
 // (check/shrink) and written to the corpus directory as a replayable .lrb
-// file (see docs/testing.md). Exits nonzero iff any violation was found.
+// file (see docs/testing.md). Exits 1 iff any violation was found, and 2
+// on a usage error, including an out-of-range flag value (--seed, --iters
+// >= 0; --max-jobs and --expect-max-jobs up to 10^5; --max-procs in
+// [1, 65536]; --jobs in [1, 256]), checked before any pool starts.
 //
 // Flags (defaults in parentheses):
 //   --seed S (1)          base seed; iteration i uses splitmix64(seed, i)
@@ -65,6 +68,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -371,32 +375,6 @@ CacheCase draw_cache_case(Rng& rng, std::int64_t max_jobs,
   return out;
 }
 
-/// Random job/processor relabeling of `in` (deterministic in `seed`): the
-/// same problem under different labels, which a correct cache must answer
-/// from the same canonical entry, mapped back byte-exactly.
-Instance relabel_instance(const Instance& in, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<JobId> job_perm(in.num_jobs());
-  std::vector<ProcId> proc_perm(in.num_procs);
-  for (std::size_t j = 0; j < job_perm.size(); ++j) {
-    job_perm[j] = static_cast<JobId>(j);
-  }
-  for (ProcId p = 0; p < in.num_procs; ++p) proc_perm[p] = p;
-  shuffle(std::span<JobId>(job_perm), rng);
-  shuffle(std::span<ProcId>(proc_perm), rng);
-  Instance out;
-  out.num_procs = in.num_procs;
-  out.sizes.resize(in.num_jobs());
-  out.move_costs.resize(in.num_jobs());
-  out.initial.resize(in.num_jobs());
-  for (std::size_t j = 0; j < in.num_jobs(); ++j) {
-    out.sizes[job_perm[j]] = in.sizes[j];
-    out.move_costs[job_perm[j]] = in.move_costs[j];
-    out.initial[job_perm[j]] = proc_perm[in.initial[j]];
-  }
-  return out;
-}
-
 std::string cache_reply_mismatch(const RebalanceResult& got,
                                  const RebalanceResult& want) {
   if (got.assignment != want.assignment) return "assignment differs";
@@ -428,7 +406,7 @@ std::string cache_divergence(engine::BatchSolver& solver,
     }
   }
   const Instance shuffled =
-      relabel_instance(fuzz_case.instance, fuzz_case.relabel_seed);
+      relabeled_instance(fuzz_case.instance, fuzz_case.relabel_seed);
   const RebalanceResult shuffled_want = engine::cached_serial_reference(
       fuzz_case.spec, shuffled, fuzz_case.k);
   engine::BatchSolver::TickItem shuffled_item = item;
@@ -543,22 +521,31 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::int64_t iters = flags.get_int("iters", 1000);
+  // The first bad flag is reported once everything is read.
+  std::string flag_error;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMaxJobs = 100'000;
+  const auto seed = static_cast<std::uint64_t>(
+      flags.get_int_in("seed", 1, 0, kMax, &flag_error));
+  const std::int64_t iters =
+      flags.get_int_in("iters", 1000, 0, kMax, &flag_error);
   const double time_budget = flags.get_double("time-budget", 0.0);
   const std::string corpus = flags.get_or("corpus", "lrb_fuzz_corpus");
-  const std::int64_t max_jobs = flags.get_int("max-jobs", 40);
-  const std::int64_t max_procs = flags.get_int("max-procs", 8);
+  const std::int64_t max_jobs =
+      flags.get_int_in("max-jobs", 40, 1, kMaxJobs, &flag_error);
+  const std::int64_t max_procs =
+      flags.get_int_in("max-procs", 8, 1, 65'536, &flag_error);
   const bool with_mutant = flags.has("mutant");
   const bool expect_violation = flags.has("expect-violation");
-  const std::int64_t expect_max_jobs = flags.get_int("expect-max-jobs", 0);
+  const std::int64_t expect_max_jobs =
+      flags.get_int_in("expect-max-jobs", 0, 0, kMaxJobs, &flag_error);
   const bool verbose = flags.has("verbose");
-  const std::int64_t jobs_raw = flags.get_int("jobs", 1);
+  const auto jobs = static_cast<std::size_t>(
+      flags.get_int_in("jobs", 1, 1, 256, &flag_error));
+  if (!flag_error.empty()) return fail(flag_error);
   if (iters <= 0 && time_budget <= 0.0) {
     return fail("need --iters > 0 or --time-budget > 0");
   }
-  if (jobs_raw < 1 || jobs_raw > 256) return fail("--jobs must be in [1, 256]");
-  const auto jobs = static_cast<std::size_t>(jobs_raw);
   const std::string algo = flags.get_or("algo", "roster");
   solver::SolverSpec backend_spec;
   const bool backend_mode =

@@ -14,9 +14,15 @@
 //   --seed S (1)
 //   --tight-greedy M       emit Theorem 1's tight family instead
 //   --tight-partition      emit Theorem 2's tight example instead
+//
+// Exit status is 2 for an out-of-range flag value (--jobs in [1, 10^8];
+// --procs in [1, 10^6]; sizes, costs, --p and --q in [0, 2^32]; --seed
+// >= 0; --tight-greedy in [2, 10^4]), checked before anything is
+// generated, and 1 for any other bad flag.
 
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "core/generators.h"
@@ -29,6 +35,12 @@ namespace {
 int fail(const std::string& message) {
   std::cerr << "lrb_gen: " << message << "\n";
   return 1;
+}
+
+/// A flag value out of range: exit 2, before anything is generated.
+int bad_flag(const std::string& message) {
+  std::cerr << "lrb_gen: " << message << "\n";
+  return 2;
 }
 
 }  // namespace
@@ -54,12 +66,31 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Validate ranges BEFORE casting: "--jobs -5" through static_cast<size_t>
+  // would wrap to ~2^64 and hang the generator instead of diagnosing. The
+  // 2^32 cap on sizes and costs keeps 10^8 of them summable in 64 bits.
+  std::string flag_error;
+  constexpr std::int64_t kMaxValue = std::int64_t{1} << 32;
+  const auto m = static_cast<ProcId>(
+      flags.get_int_in("tight-greedy", 4, 2, 10'000, &flag_error));
+  GeneratorOptions options;
+  options.num_jobs = static_cast<std::size_t>(
+      flags.get_int_in("jobs", 100, 1, 100'000'000, &flag_error));
+  options.num_procs = static_cast<ProcId>(
+      flags.get_int_in("procs", 10, 1, 1'000'000, &flag_error));
+  options.min_size = flags.get_int_in("min-size", 1, 0, kMaxValue, &flag_error);
+  options.max_size =
+      flags.get_int_in("max-size", 100, 0, kMaxValue, &flag_error);
+  options.min_cost = flags.get_int_in("min-cost", 1, 0, kMaxValue, &flag_error);
+  options.max_cost =
+      flags.get_int_in("max-cost", 10, 0, kMaxValue, &flag_error);
+  options.two_value_p = flags.get_int_in("p", 1, 0, kMaxValue, &flag_error);
+  options.two_value_q = flags.get_int_in("q", 10, 0, kMaxValue, &flag_error);
+  const auto seed = static_cast<std::uint64_t>(flags.get_int_in(
+      "seed", 1, 0, std::numeric_limits<std::int64_t>::max(), &flag_error));
+  if (!flag_error.empty()) return bad_flag(flag_error);
+
   if (flags.has("tight-greedy")) {
-    const std::int64_t m_raw = flags.get_int("tight-greedy", 4);
-    if (m_raw < 2 || m_raw > 10'000) {
-      return fail("--tight-greedy needs m in [2, 10000]");
-    }
-    const auto m = static_cast<ProcId>(m_raw);
     const auto family = greedy_tight_instance(m);
     std::cout << "# Theorem 1 tight family: k = " << family.k
               << ", OPT = " << family.opt << "\n";
@@ -74,31 +105,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  GeneratorOptions options;
-  // Validate ranges BEFORE casting: "--jobs -5" through static_cast<size_t>
-  // would wrap to ~2^64 and hang the generator instead of diagnosing.
-  const std::int64_t jobs = flags.get_int("jobs", 100);
-  const std::int64_t procs = flags.get_int("procs", 10);
-  if (jobs <= 0 || jobs > 100'000'000) {
-    return fail("--jobs must be in [1, 100000000]");
-  }
-  if (procs <= 0 || procs > 1'000'000) {
-    return fail("--procs must be in [1, 1000000]");
-  }
-  options.num_jobs = static_cast<std::size_t>(jobs);
-  options.num_procs = static_cast<ProcId>(procs);
-  options.min_size = flags.get_int("min-size", 1);
-  options.max_size = flags.get_int("max-size", 100);
-  if (options.min_size < 0 || options.min_size > options.max_size) {
-    return fail("need 0 <= --min-size <= --max-size");
+  if (options.min_size > options.max_size) {
+    return fail("need --min-size <= --max-size");
   }
   options.zipf_alpha = flags.get_double("zipf-alpha", 1.2);
   options.hotspot_fraction = flags.get_double("hotspot-fraction", 0.2);
   options.hotspot_mass = flags.get_double("hotspot-mass", 0.7);
-  options.min_cost = flags.get_int("min-cost", 1);
-  options.max_cost = flags.get_int("max-cost", 10);
-  options.two_value_p = flags.get_int("p", 1);
-  options.two_value_q = flags.get_int("q", 10);
 
   const std::string dist = flags.get_or("dist", "uniform");
   if (dist == "uniform") {
@@ -145,10 +157,9 @@ int main(int argc, char** argv) {
     return fail("unknown --cost-model '" + cost_model + "'");
   }
 
-  if (options.min_cost < 0 || options.min_cost > options.max_cost) {
-    return fail("need 0 <= --min-cost <= --max-cost");
+  if (options.min_cost > options.max_cost) {
+    return fail("need --min-cost <= --max-cost");
   }
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto instance = random_instance(options, seed);
   std::cout << "# generated by lrb_gen: jobs=" << options.num_jobs
             << " procs=" << options.num_procs << " dist=" << dist

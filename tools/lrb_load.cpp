@@ -18,7 +18,7 @@
 // lrb_stream --record) through svc::run_session_stream. --check then
 // byte-compares every ack — open, each delta frame (including full plan
 // contents), stats, close — against stream::replay_serial_reference's
-// transcript; pair it with --cache when the server runs --cache-mb.
+// transcript, whatever the server's --cache-mb.
 //
 // Flags (defaults in parentheses):
 //   --unix PATH            connect over a Unix-domain socket
@@ -41,7 +41,11 @@
 //   --repeat N (0)         repeated-instance preset: draw every request from a
 //                          pool of N unique instances instead of a fresh one
 //                          per request (the workload a --cache-mb server turns
-//                          into cache hits); 0 = all distinct
+//                          into cache hits); 0 = a fresh corpus index per
+//                          request, which is NOT all distinct: the corpus
+//                          repeats canonical forms across indices, and at
+//                          4 connections x 5,000 requests 2,193 of 20,000
+//                          (11%) repeat an earlier form
 //   --trace FILE           session mode: stream FILE's delta log, one
 //                          session per connection (ignores the solve-loop
 //                          flags: --requests/--rate/--pipeline/...)
@@ -49,10 +53,8 @@
 //   --reconnect-every N (0) session mode: drop the connection every N
 //                          frames to exercise cross-reactor forwarding
 //   --check                verify every SolveOk payload is byte-identical to
-//                          engine::solve_serial_reference on the same instance
-//   --cache                the server runs with --cache-mb: --check compares
-//                          against engine::cached_serial_reference instead
-//                          (see docs/caching.md)
+//                          engine::cached_serial_reference on the same
+//                          instance, whatever the server's --cache-mb
 //   --smoke                CI preset: 2 connections x 24 requests, implies
 //                          closed loop (other flags still override)
 //   --min-throughput R (0) exit non-zero unless achieved ok-replies/s >= R
@@ -60,7 +62,8 @@
 //   --version              print version/schema info and exit
 //
 // Exit status is 2 for an out-of-range flag value (--connections in
-// [1, 1024]; --requests, --repeat, --deadline-ms, --reconnect-every >= 0;
+// [1, 1024]; --requests, --repeat, --seed, --deadline-ms,
+// --reconnect-every >= 0;
 // --pipeline, --frame >= 1; --rate >= 0), checked before any thread
 // starts. It is 1 on transport errors, any --check mismatch, or a
 // missed --min-throughput gate. Shed replies (Overloaded/DeadlineExceeded)
@@ -109,7 +112,6 @@ struct LoadConfig {
   std::size_t repeat = 0;
   std::size_t pipeline = 1;
   bool check = false;
-  bool cache = false;
 };
 
 struct WorkerStats {
@@ -165,18 +167,14 @@ lrb::svc::SolveRequest make_request(const LoadConfig& config,
   return request;
 }
 
-/// --check reference for the request at pool index `index`: against a
-/// --cache-mb server every reply — cold miss or warm hit — must match the
-/// canonical-solve reference (docs/caching.md).
+/// --check reference for the request at pool index `index`: every reply —
+/// cache off, cold miss or warm hit — must match the canonical-solve
+/// reference (docs/caching.md).
 bool reply_matches_reference(const LoadConfig& config, std::size_t index,
                              const std::string& raw_payload) {
   const lrb::svc::SolveRequest request = make_request(config, index);
-  const auto reference =
-      config.cache
-          ? lrb::engine::cached_serial_reference(request.spec,
-                                                 request.instance, request.k)
-          : lrb::engine::solve_serial_reference(request.spec,
-                                                request.instance, request.k);
+  const auto reference = lrb::engine::cached_serial_reference(
+      request.spec, request.instance, request.k);
   return raw_payload == lrb::svc::encode_solve_reply_payload(reference);
 }
 
@@ -386,7 +384,7 @@ int main(int argc, char** argv) {
     static const char* known[] = {
         "unix", "tcp",        "connections",    "requests", "duration-s",
         "rate", "algo",       "k-frac",         "deadline-ms", "seed",
-        "repeat", "pipeline", "check",          "cache",    "smoke",
+        "repeat", "pipeline", "check",          "smoke",
         "trace", "frame",     "reconnect-every",
         "min-throughput", "json", "version"};
     if (std::find_if(std::begin(known), std::end(known), [&](const char* k) {
@@ -435,7 +433,8 @@ int main(int argc, char** argv) {
   config.deadline_ms = static_cast<std::uint32_t>(flags.get_int_in(
       "deadline-ms", 0, 0, std::numeric_limits<std::uint32_t>::max(),
       &flag_error));
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  config.seed = static_cast<std::uint64_t>(
+      flags.get_int_in("seed", 1, 0, kMax, &flag_error));
   config.repeat = static_cast<std::size_t>(
       flags.get_int_in("repeat", 0, 0, kMax, &flag_error));
   config.pipeline = static_cast<std::size_t>(
@@ -446,7 +445,6 @@ int main(int argc, char** argv) {
       flags.get_int_in("reconnect-every", 0, 0, kMax, &flag_error));
   if (!flag_error.empty()) return bad_flag(flag_error);
   config.check = flags.has("check");
-  config.cache = flags.has("cache");
   const double min_throughput = flags.get_double("min-throughput", 0.0);
   const std::string algo_text = flags.get_or("algo", "best-of");
   if (!solver::parse_backend(algo_text, &config.spec.backend)) {
@@ -480,7 +478,6 @@ int main(int argc, char** argv) {
         run.frame_size = frame;
         run.reconnect_every = reconnect_every;
         run.check = config.check;
-        run.cached = config.cache;
         run.retry.jitter_seed = config.seed + c;
         sessions[c] = svc::run_session_stream(*log, run);
       });
@@ -587,7 +584,6 @@ int main(int argc, char** argv) {
         << "    \"seed\": " << config.seed << ",\n"
         << "    \"repeat\": " << config.repeat << ",\n"
         << "    \"pipeline\": " << config.pipeline << ",\n"
-        << "    \"cache\": " << (config.cache ? "true" : "false") << ",\n"
         << "    \"check\": " << (config.check ? "true" : "false") << "\n"
         << "  },\n"
         << "  \"results\": {\n"

@@ -21,8 +21,9 @@
 //   --max-queue N (256)  admission control: shed Solves beyond this depth
 //   --max-conns N (256)  connection cap
 //   --tick-delay-ms N (0)  chaos/testing knob: delay each engine tick
-//   --cache-mb N (0)     canonicalizing solution cache budget in MiB
-//                        (docs/caching.md); 0 disables the cache
+//   --cache-mb N (0)     solution cache budget in MiB (docs/caching.md);
+//                        0 disables the cache. Replies are the same bytes
+//                        either way: only their cost changes
 //   --metrics-json FILE  dump the final metrics snapshot on clean exit
 //   --help               print usage, including the Stats JSON schema
 //   --version            print version/schema info and exit
@@ -81,7 +82,8 @@ void print_help() {
       "  --max-queue N         shed Solves beyond this queue depth (256)\n"
       "  --max-conns N         connection cap (256)\n"
       "  --tick-delay-ms N     chaos knob: delay each engine tick (0)\n"
-      "  --cache-mb N          solution cache budget in MiB; 0 = off (0)\n"
+      "  --cache-mb N          solution cache budget in MiB; 0 = off (0);\n"
+      "                        replies are the same bytes either way\n"
       "  --metrics-json FILE   dump the final metrics snapshot on exit\n"
       "  --help | --version    this text / version and schema info\n"
       "\n"
@@ -115,8 +117,9 @@ void print_help() {
       "              svc.requests_session for the v2 frames\n"
       "    engine.*  batch-engine tick and latency metrics\n"
       "    cache.*   solution cache (--cache-mb; docs/caching.md): hits,\n"
-      "              misses, inserts, evictions, single_flight_waits,\n"
-      "              single_flight_bypass, admissions_deferred (first\n"
+      "              misses, inserts, evictions, single_flight_bypass\n"
+      "              (a key already in flight, solved again rather than\n"
+      "              waited for), admissions_deferred (first\n"
       "              sightings solved without touching the cache; a form\n"
       "              is cached on its second sighting, a ptas form on its\n"
       "              first) (counters), bytes, entries (gauges)\n"
@@ -178,7 +181,7 @@ int main(int argc, char** argv) {
       flags.get_int_in("max-conns", 256, 1, kMaxCount, &flag_error));
   options.tick_delay_ms = static_cast<std::uint32_t>(
       flags.get_int_in("tick-delay-ms", 0, 0, 60'000, &flag_error));
-  options.cache_bytes =
+  options.engine.cache_bytes =
       static_cast<std::size_t>(
           flags.get_int_in("cache-mb", 0, 0, kMaxCacheMb, &flag_error))
       << 20;

@@ -13,8 +13,13 @@
 //   --every R (5)          --k K (12)           --seed S (1)
 //   --flash-prob P (0.003) --drain-prob P (0)   --churn-prob P (0)
 //   --migrations-per-step G (0 = instantaneous)
+//
+// Exit status is 2 for an out-of-range flag value (--sites and --steps in
+// [1, 10^7]; --servers in [1, 10^5]; --every, --k, --migrations-per-step,
+// --byte-budget and --seed >= 0), checked before anything runs.
 
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "sim/policies.h"
@@ -31,6 +36,12 @@ int fail(const std::string& message) {
   return 1;
 }
 
+/// A flag value out of range: exit 2, before anything runs.
+int bad_flag(const std::string& message) {
+  std::cerr << "lrb_simulate: " << message << "\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -42,32 +53,36 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // The first bad flag is reported once everything is read.
+  std::string flag_error;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   SimOptions options;
-  options.workload.num_sites =
-      static_cast<std::size_t>(flags.get_int("sites", 300));
+  options.workload.num_sites = static_cast<std::size_t>(
+      flags.get_int_in("sites", 300, 1, 10'000'000, &flag_error));
   options.workload.flash_prob = flags.get_double("flash-prob", 0.003);
   options.workload.churn_prob = flags.get_double("churn-prob", 0.0);
-  options.num_servers = static_cast<ProcId>(flags.get_int("servers", 12));
-  options.steps = static_cast<std::size_t>(flags.get_int("steps", 400));
-  options.rebalance_every =
-      static_cast<std::size_t>(flags.get_int("every", 5));
-  options.move_budget = flags.get_int("k", 12);
+  options.num_servers = static_cast<ProcId>(
+      flags.get_int_in("servers", 12, 1, 100'000, &flag_error));
+  options.steps = static_cast<std::size_t>(
+      flags.get_int_in("steps", 400, 1, 10'000'000, &flag_error));
+  options.rebalance_every = static_cast<std::size_t>(
+      flags.get_int_in("every", 5, 0, kMax, &flag_error));
+  options.move_budget = flags.get_int_in("k", 12, 0, kInfCost, &flag_error);
   options.drain_prob = flags.get_double("drain-prob", 0.0);
-  options.migrations_per_step =
-      static_cast<std::size_t>(flags.get_int("migrations-per-step", 0));
-  options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  if (options.workload.num_sites == 0 || options.num_servers == 0 ||
-      options.steps == 0) {
-    return fail("--sites, --servers and --steps must be positive");
-  }
+  options.migrations_per_step = static_cast<std::size_t>(
+      flags.get_int_in("migrations-per-step", 0, 0, kMax, &flag_error));
+  options.seed = static_cast<std::uint64_t>(
+      flags.get_int_in("seed", 1, 0, kMax, &flag_error));
+  const Cost byte_budget =
+      flags.get_int_in("byte-budget", 5000, 0, kInfCost, &flag_error);
+  if (!flag_error.empty()) return bad_flag(flag_error);
 
   Policy policy;
   std::string policy_name = flags.get_or("policy", "m-partition");
   if (flags.has("byte-budget")) {
     options.byte_costs = true;
-    policy = cost_partition_policy(flags.get_int("byte-budget", 5000));
-    policy_name = "cost-partition(" +
-                  std::to_string(flags.get_int("byte-budget", 5000)) + "B)";
+    policy = cost_partition_policy(byte_budget);
+    policy_name = "cost-partition(" + std::to_string(byte_budget) + "B)";
   } else {
     policy = unit_policy(policy_name);
     if (!policy) {

@@ -13,6 +13,8 @@
 // cost-partition | shmoys-tardos | exact.
 // Budgets: --k for unit-cost algorithms (default n), --budget for cost-aware
 // ones (default: the k value), --eps for the PTAS (default 0.5).
+// Exit status is 2 for an out-of-range --k or --budget (each in [0, 2^61)),
+// checked before the instance is read.
 
 #include <fstream>
 #include <iostream>
@@ -40,6 +42,12 @@ int fail(const std::string& message) {
   return 1;
 }
 
+/// A flag value out of range: exit 2, before the instance is read.
+int bad_flag(const std::string& message) {
+  std::cerr << "lrb_solve: " << message << "\n";
+  return 2;
+}
+
 std::string algo_list() {
   return "none|" + lrb::solver::backend_list() +
          "|cost-greedy|cost-partition|shmoys-tardos|exact";
@@ -60,6 +68,13 @@ int main(int argc, char** argv) {
                 algo_list());
   }
 
+  std::string flag_error;
+  const std::int64_t k_flag =
+      flags.get_int_in("k", 0, 0, kInfCost, &flag_error);
+  const Cost budget_flag =
+      flags.get_int_in("budget", 0, 0, kInfCost, &flag_error);
+  if (!flag_error.empty()) return bad_flag(flag_error);
+
   std::optional<Instance> instance;
   std::string error;
   if (flags.positional()[0] == "-") {
@@ -72,8 +87,8 @@ int main(int argc, char** argv) {
   if (!instance) return fail("parse error: " + error);
 
   const auto n = static_cast<std::int64_t>(instance->num_jobs());
-  const std::int64_t k = flags.get_int("k", n);
-  const Cost budget = flags.get_int("budget", k);
+  const std::int64_t k = flags.has("k") ? k_flag : n;
+  const Cost budget = flags.has("budget") ? budget_flag : k;
   const double eps = flags.get_double("eps", 0.5);
   const std::string algo = flags.get_or("algo", "m-partition");
 

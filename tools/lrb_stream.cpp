@@ -28,13 +28,12 @@
 //   --every N (32)         delta-count trigger (0 disables)
 //   --depart-frac F (0.4)  departure fraction of the generated traces
 //   --reconnect-every N (0) drop the connection every N frames (forwarding)
-//   --seed N (1)           trace/corpus seed
+//   --seed N (1)           trace/corpus seed (>= 0)
 //   --check                byte-compare every ack vs the serial reference
 //   --record FILE          write session 0's delta log (.lrbd) and exit
 //   --replay FILE          stream FILE's delta log as a single session
 //   --unix PATH | --tcp HOST:PORT   target an external server (default:
-//                          in-process); with an external --cache-mb server
-//                          pass --cache so --check uses the cached reference
+//                          in-process); --check needs no server setting
 //   --reactors N (2)       in-process server: event-loop shards
 //   --engine-workers N (2) in-process server: engine tick workers
 //   --workers N (0)        in-process server: solver pool (0 = hw)
@@ -46,8 +45,9 @@
 // Exit status is 2 for an out-of-range flag value (--sessions, --reactors,
 // --engine-workers and --workers up to 1024; --deltas, --frame and
 // --reconnect-every up to 10^8; --every below 2^32; --cache-mb up to 2^20;
-// --depart-frac in [0, 1]), checked before anything starts, and 1 on
-// transport give-up, any rejected lifecycle call, or any --check mismatch.
+// --seed >= 0; --depart-frac in [0, 1]), checked before anything starts,
+// and 1 on transport give-up, any rejected lifecycle call, or any --check
+// mismatch.
 
 #include <algorithm>
 #include <cstdint>
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
         "sessions", "deltas",   "frame",     "algo",   "move-frac",
         "imbalance", "every",   "depart-frac", "reconnect-every", "seed",
         "check",    "record",   "replay",    "unix",   "tcp",
-        "cache",    "reactors", "engine-workers", "workers", "cache-mb",
+        "reactors", "engine-workers", "workers", "cache-mb",
         "smoke",    "version"};
     if (std::find_if(std::begin(known), std::end(known), [&](const char* k) {
           return key == k;
@@ -125,8 +125,8 @@ int main(int argc, char** argv) {
   const std::size_t reconnect_every = static_cast<std::size_t>(
       flags.get_int_in("reconnect-every", smoke ? 3 : 0, 0, kMaxDeltas,
                        &flag_error));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int_in(
+      "seed", 1, 0, std::numeric_limits<std::int64_t>::max(), &flag_error));
   const bool check = flags.has("check");
 
   stream::TriggerConfig trigger;
@@ -195,7 +195,6 @@ int main(int argc, char** argv) {
 
   // Target server: external when --unix/--tcp is given, else in-process.
   svc::Endpoint endpoint;
-  bool cached = flags.has("cache");
   std::unique_ptr<svc::Server> server;
   std::thread server_thread;
   const std::string external_unix = flags.get_or("unix", "");
@@ -218,8 +217,7 @@ int main(int argc, char** argv) {
     options.reactors = static_cast<std::size_t>(reactors);
     options.engine_workers = static_cast<std::size_t>(engine_workers);
     options.engine.workers = static_cast<std::size_t>(workers);
-    options.cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
-    cached = options.cache_bytes > 0;
+    options.engine.cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
     server = std::make_unique<svc::Server>(std::move(options));
     std::string error;
     if (!server->start(&error)) return fail("server start: " + error);
@@ -238,7 +236,6 @@ int main(int argc, char** argv) {
       run.frame_size = frame;
       run.reconnect_every = reconnect_every;
       run.check = check;
-      run.cached = cached;
       run.retry.jitter_seed = seed + s;
       results[s] = svc::run_session_stream(logs[s], run);
     });

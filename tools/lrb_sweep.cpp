@@ -5,7 +5,9 @@
 //   lrb_sweep instance.lrb --k 1,2,4,8,16,32 [--csv] [--threads N]
 //
 // Each (algorithm, k) cell runs as an independent task on the thread pool;
-// results are deterministic regardless of the thread count.
+// results are deterministic regardless of the thread count. --threads must
+// be in [0, 1024] (0 = hardware concurrency); out of range it exits 2
+// before the instance is read or the pool started.
 
 #include <fstream>
 #include <iostream>
@@ -55,6 +57,13 @@ int main(int argc, char** argv) {
                 "[--threads N]\n  runs the non-costed backends of " +
                 solver::backend_list());
   }
+  std::string flag_error;
+  const auto threads = static_cast<std::size_t>(
+      flags.get_int_in("threads", 0, 0, 1024, &flag_error));
+  if (!flag_error.empty()) {
+    std::cerr << "lrb_sweep: " << flag_error << "\n";
+    return 2;
+  }
   std::ifstream in(flags.positional()[0]);
   if (!in) return fail("cannot open " + flags.positional()[0]);
   std::string error;
@@ -78,7 +87,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  ThreadPool pool(static_cast<std::size_t>(flags.get_int("threads", 0)));
+  ThreadPool pool(threads);
   parallel_for(pool, 0, cells.size(), [&](std::size_t i) {
     Timer timer;
     cells[i].result =

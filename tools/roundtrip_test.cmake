@@ -106,6 +106,18 @@ if(NOT solve_err MATCHES "bad job line")
   message(FATAL_ERROR "lrb_solve gave no job-line diagnostic: ${solve_err}")
 endif()
 
+# Runs `tool --bad ARGN` and requires exit 2 with "--flag must be" on
+# stderr.
+function(expect_bad_flag tool name bad)
+  string(REGEX REPLACE "=.*" "" flag "${bad}")
+  execute_process(
+    COMMAND ${tool} --${bad} ${ARGN}
+    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "--${flag} must be")
+    message(FATAL_ERROR
+      "${name} --${bad}: want exit 2 naming --${flag}, got ${rc}: ${err}")
+  endif()
+endfunction()
 # Count flags are range-checked on the signed value, before the unsigned
 # cast: "lrb_stream --deltas -1" used to wrap to ~2^64 and abort in the
 # allocator, and "lrb_load --connections -1" passed its ">= 1" check and
@@ -116,30 +128,16 @@ endif()
 foreach(bad sessions=-1 sessions=5000 deltas=-1 frame=-1 frame=0
         reconnect-every=-1 every=-1 every=4294967296 depart-frac=7
         depart-frac=-0.5 depart-frac=nan reactors=-1 engine-workers=0
-        workers=-1 cache-mb=-1)
-  string(REGEX REPLACE "=.*" "" flag "${bad}")
-  execute_process(
-    COMMAND ${LRB_STREAM} --${bad} --record ${WORK_DIR}/rejected.lrbd
-    RESULT_VARIABLE rc ERROR_VARIABLE stream_err OUTPUT_QUIET)
-  if(NOT rc EQUAL 2 OR NOT stream_err MATCHES "--${flag} must be")
-    message(FATAL_ERROR
-      "lrb_stream --${bad}: want exit 2 naming --${flag}, got ${rc}: "
-      "${stream_err}")
-  endif()
+        workers=-1 cache-mb=-1 seed=-1)
+  expect_bad_flag(${LRB_STREAM} lrb_stream ${bad}
+                  --record ${WORK_DIR}/rejected.lrbd)
 endforeach()
 foreach(bad connections=-1 connections=0 connections=5000 requests=-1
         deadline-ms=-1 repeat=-1 pipeline=0 frame=-1 reconnect-every=-1
-        rate=-1)
-  string(REGEX REPLACE "=.*" "" flag "${bad}")
-  execute_process(
-    COMMAND ${LRB_LOAD} --unix ${WORK_DIR}/no_server.sock --${bad}
-            --trace ${WORK_DIR}/no_such_log.lrbd
-    RESULT_VARIABLE rc ERROR_VARIABLE load_err OUTPUT_QUIET)
-  if(NOT rc EQUAL 2 OR NOT load_err MATCHES "--${flag} must be")
-    message(FATAL_ERROR
-      "lrb_load --${bad}: want exit 2 naming --${flag}, got ${rc}: "
-      "${load_err}")
-  endif()
+        rate=-1 seed=-1)
+  expect_bad_flag(${LRB_LOAD} lrb_load ${bad}
+                  --unix ${WORK_DIR}/no_server.sock
+                  --trace ${WORK_DIR}/no_such_log.lrbd)
 endforeach()
 # The same for lrb_serve and lrb_batch ("lrb_serve --workers -1" used to
 # ask for ~2^64 threads, "lrb_batch --reps -1" to loop ~2^64 times). The
@@ -149,18 +147,10 @@ endforeach()
 foreach(bad workers=-1 workers=5000 reactors=0 reactors=-1 engine-workers=0
         max-batch=0 max-queue=-1 max-conns=0 tick-delay-ms=-1 tcp=-5
         tcp=70000 cache-mb=-1 cache-mb=17592186044416)
-  string(REGEX REPLACE "=.*" "" flag "${bad}")
-  execute_process(
-    COMMAND ${LRB_SERVE} --${bad}
-    RESULT_VARIABLE rc ERROR_VARIABLE serve_err OUTPUT_QUIET)
-  if(NOT rc EQUAL 2 OR NOT serve_err MATCHES "--${flag} must be")
-    message(FATAL_ERROR
-      "lrb_serve --${bad}: want exit 2 naming --${flag}, got ${rc}: "
-      "${serve_err}")
-  endif()
+  expect_bad_flag(${LRB_SERVE} lrb_serve ${bad})
 endforeach()
 foreach(bad reps=-1 reps=0 generate=-1 generate=0 seed=-1 workers=1,-1
-        workers=5000 workers=x)
+        workers=5000 workers=x ptas-budget=-1)
   string(REGEX REPLACE "=.*" "" flag "${bad}")
   execute_process(
     COMMAND ${LRB_BATCH} --${bad} --corpus ${WORK_DIR}/no_such_corpus.lrb
@@ -170,4 +160,38 @@ foreach(bad reps=-1 reps=0 generate=-1 generate=0 seed=-1 workers=1,-1
       "lrb_batch --${bad}: want exit 2 naming --${flag}, got ${rc}: "
       "${batch_err}")
   endif()
+endforeach()
+# Every other tool reads its integer flags through Flags::get_int_in too
+# (there is no unchecked getter): "lrb_sweep --threads -1" used to ask for
+# a ~2^64-thread pool, "lrb_chaos --clients 5000" for 5000 client threads.
+# Each case carries a guard that makes a build which accepted the flag
+# exit 1 before it starts a pool, a server or a file: a missing input
+# file for lrb_solve and lrb_sweep, an unknown --algo / --dist / --policy
+# for the others (each tool checks its numeric flags first).
+foreach(bad campaigns=0 campaigns=2000000 clients=0 clients=5000 requests=0
+        restart-every=-1 campaign-index=-1 reactors=-1 reactors=5000
+        tick-workers=0 seed=-1)
+  expect_bad_flag(${LRB_CHAOS} lrb_chaos ${bad} --algo no-such-backend)
+endforeach()
+foreach(bad seed=-1 iters=-1 max-jobs=0 max-jobs=100001 max-procs=0
+        max-procs=70000 expect-max-jobs=-1 jobs=0 jobs=257)
+  expect_bad_flag(${LRB_FUZZ} lrb_fuzz ${bad} --algo no-such-backend
+                  --corpus ${WORK_DIR}/rejected_corpus)
+endforeach()
+foreach(bad jobs=0 jobs=100000001 procs=0 procs=1000001 min-size=-1
+        max-size=4294967297 min-cost=-1 max-cost=-1 p=-1 q=-1 seed=-1
+        tight-greedy=1 tight-greedy=10001)
+  expect_bad_flag(${LRB_GEN} lrb_gen ${bad} --dist no-such-dist)
+endforeach()
+foreach(bad k=-1 budget=-1)
+  expect_bad_flag(${LRB_SOLVE} lrb_solve ${bad}
+                  ${WORK_DIR}/no_such_instance.lrb)
+endforeach()
+foreach(bad sites=0 sites=-1 servers=0 servers=100001 steps=0 every=-1 k=-1
+        migrations-per-step=-1 seed=-1 byte-budget=-1)
+  expect_bad_flag(${LRB_SIM} lrb_simulate ${bad} --policy no-such-policy)
+endforeach()
+foreach(bad threads=-1 threads=5000)
+  expect_bad_flag(${LRB_SWEEP} lrb_sweep ${bad}
+                  ${WORK_DIR}/no_such_instance.lrb)
 endforeach()
